@@ -33,8 +33,6 @@ func main() {
 		cfgName   = flag.String("config", "ccnuma", "machine: ccnuma|ccnow|zeronet")
 		scale     = flag.Float64("scale", 1.0, "workload scale factor")
 		seed      = flag.Uint64("seed", 42, "random seed")
-		shards    = flag.Int("shards", 0, "per-node event lanes (0 or 1 = single heap; results are shard-count independent)")
-		workers   = flag.Int("workers", 0, "goroutines driving guarded epoch windows (0 = serial; needs -shards >= workers; results are worker-count independent)")
 		dur       = flag.Duration("duration", 0, "run length in simulated time (0 = workload default)")
 		trigger   = flag.Uint("trigger", 0, "trigger threshold override (0 = workload default)")
 		metric    = flag.String("metric", "fc", "counter metric: fc|sc|ft|st")
@@ -42,10 +40,9 @@ func main() {
 		dircopy   = flag.Bool("dir-copy", false, "use the directory's pipelined page copy (ablation)")
 		verbose   = flag.Bool("v", false, "print per-CPU and contention detail")
 		missPth   = flag.String("misstrace", "", "write the miss trace to this file")
-		oldMiss   = flag.String("trace", "", "deprecated alias for -misstrace")
 		eventsPth = flag.String("events", "", "write the observability event trace as Chrome trace JSON (load in Perfetto)")
 		jsonlPth  = flag.String("events-jsonl", "", "write the observability event trace as JSONL")
-		shardsPth = flag.String("shardstats", "", "collect per-lane shard stats, print the table, and write the JSONL report to this file")
+		shardsPth = flag.String("shardstats", "", "collect per-node dispatch stats, print the table, and write the JSONL report to this file")
 		seriesPth = flag.String("timeseries", "", "write the sampled time-series as CSV")
 		interval  = flag.Duration("sample-interval", time.Millisecond, "time-series sampling interval (simulated time)")
 		debug     = flag.Bool("debug-checks", false, "validate accounting invariants on every sample")
@@ -72,10 +69,6 @@ func main() {
 		overheadBudg = flag.Float64("overhead-budget", 0, "shed pager batches above this fraction of CPU time (0 = off)")
 	)
 	flag.Parse()
-	if *missPth == "" && *oldMiss != "" {
-		fmt.Fprintln(os.Stderr, "numasim: -trace is deprecated; use -misstrace")
-		*missPth = *oldMiss
-	}
 
 	// Drain and slow-link faults key off their node flags; the Config fields
 	// stay zero otherwise so the default fingerprint (and output) is identical
@@ -114,8 +107,6 @@ func main() {
 		Config:         *cfgName,
 		Scale:          *scale,
 		Seed:           seed,
-		Shards:         *shards,
-		Workers:        *workers,
 		DurationNS:     dur.Nanoseconds(),
 		Trigger:        uint16(*trigger),
 		Metric:         *metric,

@@ -30,8 +30,7 @@ import (
 // per-node directory controllers, and the kernel rehomes them when a
 // migration or collapse moves the master. One Validity instance is shared by
 // every cache in the machine, but any single page's stamps are owned by
-// exactly one node — the property that lets the sharded engine treat stamp
-// traffic as lane-local.
+// exactly one node.
 //
 // A page starts unhomed (no node has ever held it) and is homed by Assign on
 // first residence. Releasing a page does NOT unhome it: the stamps park on
@@ -131,7 +130,6 @@ func (v *Validity) Assign(p mem.GPage, node mem.NodeID) {
 // never-resident page were never written, so they read as version zero.
 //
 //numalint:hotpath
-//numalint:lane-confined
 func (v *Validity) LineVersion(l mem.GLine) uint32 {
 	p := l.Page()
 	h := v.home[p]
@@ -148,7 +146,6 @@ func (v *Validity) LineVersion(l mem.GLine) uint32 {
 // and panics rather than silently minting stamps nobody owns.
 //
 //numalint:hotpath
-//numalint:lane-confined
 func (v *Validity) BumpLine(l mem.GLine) uint32 {
 	p := l.Page()
 	h := v.home[p]
@@ -172,7 +169,6 @@ func unhomedWrite(l mem.GLine) {
 // page has never been resident).
 //
 //numalint:hotpath
-//numalint:lane-confined
 func (v *Validity) PageEpoch(p mem.GPage) uint32 {
 	h := v.home[p]
 	if h < 0 {
@@ -185,8 +181,6 @@ func (v *Validity) PageEpoch(p mem.GPage) uint32 {
 // invalidating all cached lines of the page machine-wide. Releasing a page
 // that was never resident has nothing cached to invalidate, so an unhomed
 // bump is a no-op.
-//
-//numalint:lane-confined
 func (v *Validity) BumpPage(p mem.GPage) {
 	if h := v.home[p]; h >= 0 {
 		v.shards[h].pageEpoch[v.slot[p]]++

@@ -6,11 +6,11 @@ import (
 	"ccnuma/internal/mem"
 )
 
-// TestValidityShardedRehome pins the sharded filter's core contract: stamps
+// TestValidityPerHomeRehome pins the sharded filter's core contract: stamps
 // live with the page's home node and move verbatim when the kernel rehomes
 // the page, so no cache entry's validity verdict ever depends on which
 // shard holds the stamps.
-func TestValidityShardedRehome(t *testing.T) {
+func TestValidityPerHomeRehome(t *testing.T) {
 	v := NewValidity(8, 4)
 	p := mem.GPage(3)
 	l := p.Line(5)

@@ -5,175 +5,60 @@ import (
 	"ccnuma/internal/sim"
 )
 
-// The system runs on exactly one of two engines: the single-heap sim.Engine
-// (Shards <= 1, the reference path every golden output is pinned to) or the
-// per-node-lane sim.Sharded engine (Shards > 1). The sharded engine's
-// serialized merge dispatches in global (time, schedule-order) — the exact
-// single-heap order — so the wrappers below are the only places that need
-// to know which engine is underneath, and shard count can never change
-// results. Kernel handlers still touch machine-global state (the cache
-// validity filter, the VM, the scheduler), so core drives the lanes through
-// that merge; the concurrent epoch-barrier mode (sim.Sharded.RunEpochs)
-// becomes usable as those structures are made lane-confined (see DESIGN.md,
-// "Sharded execution").
-
-// buildEngine selects and constructs the run's engine. The sharded
-// engine's epoch window is sized by the minimum cross-node latency — the
-// machine's remote-miss minimum from the interconnect model — because no
-// cross-lane effect can propagate faster than one remote hop.
-//
-// CollectShardStats forces the sharded engine even at Shards <= 1: a
-// one-lane serialized merge is byte-identical to the single-heap engine (the
-// TestShardNeutrality construction), and it is the only engine with lanes to
-// introspect. Its timeline window is Duration/64, so every run yields a
-// deterministic ~64-bucket dispatch profile regardless of length.
+// buildEngine constructs the run's single-heap engine. CollectShardStats
+// attaches per-node dispatch attribution: one lane per node, with a
+// Duration/64 timeline window, so every run yields a deterministic
+// ~64-bucket dispatch profile regardless of length. Attribution is charged
+// at schedule time and never changes dispatch order.
 func (s *System) buildEngine() {
-	if s.opt.Shards > 1 || s.opt.CollectShardStats || s.opt.Workers >= 1 {
-		lanes := s.opt.Shards
-		if lanes < 1 {
-			lanes = 1
-		}
-		s.seng = sim.NewSharded(lanes, s.cfg.RemoteLatency)
-		if s.opt.CollectShardStats {
-			window := s.opt.Duration / 64
-			if window <= 0 {
-				window = 1
-			}
-			s.seng.EnableStats(window)
-		}
-		return
-	}
 	s.eng = &sim.Engine{}
+	if s.opt.CollectShardStats {
+		window := s.opt.Duration / 64
+		if window <= 0 {
+			window = 1
+		}
+		s.eng.EnableStats(s.cfg.Nodes, window)
+	}
 }
 
-// registerKinds installs the typed step and wake handlers on whichever
-// engine the run uses. On the sharded engine the step kind carries lane
-// affinity — a CPU's step events live on its node's lane (modulo the lane
-// count), which also owns that node's caches, TLBs, and local frame pool —
-// and wake events ride the lane owning the ready queue they will push onto
-// (the target CPU's node). A stale wake has no target queue; it spreads by
-// vm slot rather than pile onto lane 0. Routing is resolved at schedule
-// time and never affects the serialized merge (dispatch order is global
-// (time, sequence) regardless of lane), but it is what lets the guarded
-// epoch planner prove a wake delivery lane-confined — and what keeps lane 0
-// from becoming the dispatch hotspot the machine-global scheduler used to
-// make it.
+// registerKinds installs the typed step and wake handlers. With shard stats
+// on, a step event is charged to its CPU's node, and a wake event to the
+// node owning the ready queue it will push onto (the target CPU's node). A
+// stale wake has no target queue; it spreads by vm slot rather than pile
+// onto lane 0.
 func (s *System) registerKinds() {
-	if s.seng != nil {
-		shards := s.seng.Lanes()
-		s.stepKind = s.seng.Register(func(l *sim.Lane, now sim.Time, arg uint64) {
-			c := s.cpus[arg]
-			c.lane = l
-			s.step(c, now)
-		}, func(arg uint64) int { return int(s.cfg.NodeOf(mem.CPUID(arg))) % shards })
-		s.wakeKind = s.seng.Register(func(_ *sim.Lane, now sim.Time, arg uint64) {
-			s.wakeProc(mem.ProcID(arg>>32), uint32(arg))
-		}, func(arg uint64) int {
-			if cpu, live := s.wakeTarget(arg); live {
-				return s.laneForCPU(cpu)
-			}
-			return int(arg>>32) % shards
-		})
-		return
-	}
 	s.stepKind = s.eng.Register(func(now sim.Time, arg uint64) {
 		s.step(s.cpus[arg], now)
 	})
 	s.wakeKind = s.eng.Register(func(now sim.Time, arg uint64) {
 		s.wakeProc(mem.ProcID(arg>>32), uint32(arg))
 	})
-}
-
-// now returns the engine clock.
-//
-//numalint:hotpath
-func (s *System) now() sim.Time {
-	if s.seng != nil {
-		return s.seng.Now()
-	}
-	return s.eng.Now()
-}
-
-// schedAtKind schedules a typed event at absolute time at.
-//
-//numalint:hotpath
-func (s *System) schedAtKind(at sim.Time, k sim.Kind, arg uint64) {
-	if s.seng != nil {
-		s.seng.AtKind(at, k, arg)
+	st := s.eng.Stats()
+	if st == nil {
 		return
 	}
-	s.eng.AtKind(at, k, arg)
-}
-
-// schedAt schedules a closure event at absolute time at.
-func (s *System) schedAt(at sim.Time, fn sim.Event) {
-	if s.seng != nil {
-		s.seng.At(at, fn)
-		return
-	}
-	s.eng.At(at, fn)
-}
-
-// schedEvery schedules a periodic event.
-func (s *System) schedEvery(period sim.Time, fn sim.Event, stop func() bool) {
-	if s.seng != nil {
-		s.seng.Every(period, fn, stop)
-		return
-	}
-	s.eng.Every(period, fn, stop)
-}
-
-// engineRunUntil drives the run to the deadline: the serialized merge (or
-// the single-heap engine) when Workers is zero, guarded epochs when the run
-// asked for concurrency. Both paths produce byte-identical results — the
-// worker count is an execution knob, like the shard count.
-func (s *System) engineRunUntil(deadline sim.Time) {
-	if s.seng != nil {
-		if s.opt.Workers >= 1 {
-			s.seng.RunEpochs(s.opt.Workers, deadline)
-			return
+	st.Route(s.stepKind, func(arg uint64) int { return int(s.cfg.NodeOf(mem.CPUID(arg))) })
+	st.Route(s.wakeKind, func(arg uint64) int {
+		if cpu, live := s.wakeTarget(arg); live {
+			return int(s.cfg.NodeOf(cpu))
 		}
-		s.seng.RunUntil(deadline)
-		return
-	}
-	s.eng.RunUntil(deadline)
+		return int(arg>>32) % st.Lanes()
+	})
 }
 
-// setCancel installs (or clears, with nil) the run loop's cooperative
-// cancellation predicate on whichever engine the run uses. The engines poll
-// it on a dispatch-count stride (sim.Engine's cancelMask), so cancellation is
-// checked at engine-step granularity without a per-event branch that could
-// cost on the hot path. Cancellation never changes a completed run's bytes:
-// a run that stops early is discarded by RunContext, never returned.
-func (s *System) setCancel(fn func() bool) {
-	if s.seng != nil {
-		s.seng.SetCancel(fn)
-		return
+// wakeTarget decodes a wake event's arg (vmID<<32 | slotGen) against the
+// slot table: live is false for a stale wake (slot reused, process exited,
+// or never existed), whose handler returns without effect. For a live wake
+// it returns the CPU whose ready queue MakeRunnable would push onto right
+// now.
+func (s *System) wakeTarget(arg uint64) (cpu mem.CPUID, live bool) {
+	id := mem.ProcID(arg >> 32)
+	if int(id) >= len(s.procs) {
+		return 0, false
 	}
-	s.eng.SetCancel(fn)
-}
-
-// engineFired returns the number of events dispatched so far.
-func (s *System) engineFired() uint64 {
-	if s.seng != nil {
-		return s.seng.Fired()
+	p := s.procs[id]
+	if p == nil || p.slotGen != uint32(arg) || !p.alive {
+		return 0, false
 	}
-	return s.eng.Fired()
-}
-
-// enginePending returns the number of scheduled, undispatched events.
-func (s *System) enginePending() int {
-	if s.seng != nil {
-		return s.seng.Pending()
-	}
-	return s.eng.Pending()
-}
-
-// engineStep dispatches one event (tests and benchmarks drive the hot path
-// with it).
-func (s *System) engineStep() bool {
-	if s.seng != nil {
-		return s.seng.Step()
-	}
-	return s.eng.Step()
+	return s.schedul.WakeCPU(p.sp), true
 }

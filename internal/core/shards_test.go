@@ -12,7 +12,7 @@ import (
 
 // shardExports renders every deterministic export of a result: the stats
 // summary, the observability events JSONL, and the time-series (CSV and
-// JSONL). Byte equality of this bundle is the cross-shard gate.
+// JSONL). Byte equality of this bundle is the stats-neutrality gate.
 func shardExports(t *testing.T, res *Result) []byte {
 	t.Helper()
 	var b bytes.Buffer
@@ -41,10 +41,10 @@ func shardExports(t *testing.T, res *Result) []byte {
 	return b.Bytes()
 }
 
-// shardCases are the golden workload/option combinations the cross-shard
-// determinism hammer runs: dynamic policy with every observability surface
-// on, a pinned static-placement run, a real paper workload at test scale,
-// and a full-chaos fault-injected run.
+// shardCases are the golden workload/option combinations the per-node
+// dispatch tests run: dynamic policy with every observability surface on, a
+// pinned static-placement run, a real paper workload at test scale, and a
+// full-chaos fault-injected run.
 func shardCases() []struct {
 	name string
 	spec func() *workload.Spec
@@ -87,42 +87,16 @@ func shardCases() []struct {
 	}
 }
 
-// TestShardNeutrality is the cross-shard determinism hammer: for every
-// golden case, `-shards 1` (the single-heap engine) and `-shards N`
-// (per-node lanes under the deterministic merge) must produce byte-identical
-// stats, events JSONL, and time-series output. Run under -race in `make ci`
-// (the race target re-executes it by name).
+// TestShardNeutrality is the per-node dispatch determinism gate across the
+// golden cases: dynamic policy with every observability surface on, a
+// pinned static placement, a paper workload at test scale and a full-chaos
+// run must each export the same stats, events JSONL, time series and
+// flight-recorder dump whether or not dispatch is attributed to per-node
+// lanes, and the lane accounting must balance (see checkStatsNeutral).
 func TestShardNeutrality(t *testing.T) {
 	for _, tc := range shardCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			// The flight recorder rides along on every run: its dump (events
-			// plus truncation marker) follows the dispatch order, so it is as
-			// shard-neutral as the exports and joins the byte-equality gate.
-			run := func(shards int) []byte {
-				opt := tc.opt
-				opt.Shards = shards
-				opt.Recorder = obs.NewRecorder(128)
-				res, err := Run(tc.spec(), opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out := shardExports(t, res)
-				events, dropped := opt.Recorder.Dump()
-				var b bytes.Buffer
-				fmt.Fprintf(&b, "recorder dropped=%d\n", dropped)
-				for _, e := range events {
-					fmt.Fprintf(&b, "%+v\n", e)
-				}
-				return append(out, b.Bytes()...)
-			}
-			want := run(1)
-			for _, shards := range []int{2, 4} {
-				got := run(shards)
-				if !bytes.Equal(want, got) {
-					t.Fatalf("shards=%d diverged from shards=1 (exports differ: %d vs %d bytes)\nfirst divergence: %s",
-						shards, len(want), len(got), firstDiff(want, got))
-				}
-			}
+			checkStatsNeutral(t, tc.spec, tc.opt)
 		})
 	}
 }
@@ -148,25 +122,17 @@ func firstDiff(a, b []byte) string {
 	return fmt.Sprintf("common prefix of %d bytes", n)
 }
 
-// TestShardsAbsentFromFingerprint pins the memo contract: two option sets
-// differing only in shard count share one fingerprint (and so one memo
-// slot), because sharding cannot change results.
+// TestShardsAbsentFromFingerprint pins the memo contract for the
+// observation-only knobs: shard-stats collection cannot change results, and
+// a recorder pointer would make every attempt's memo key unique, so option
+// sets differing only in those share one fingerprint (and one memo slot).
 func TestShardsAbsentFromFingerprint(t *testing.T) {
 	a := Options{Seed: 9, Dynamic: true}
-	b := a
-	b.Shards = 4
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("shard count leaked into the fingerprint:\n%s\n%s",
-			a.Fingerprint(), b.Fingerprint())
-	}
 	c := a
 	c.Dynamic = false
 	if a.Fingerprint() == c.Fingerprint() {
 		t.Fatal("distinct options collided — the fingerprint stopped covering Dynamic")
 	}
-	// The other execution-only observability knobs must be erased too:
-	// shard-stats collection cannot change results, and a recorder pointer
-	// would make every attempt's memo key unique.
 	d := a
 	d.CollectShardStats = true
 	if a.Fingerprint() != d.Fingerprint() {
@@ -178,51 +144,5 @@ func TestShardsAbsentFromFingerprint(t *testing.T) {
 	if a.Fingerprint() != e.Fingerprint() {
 		t.Fatalf("the recorder pointer leaked into the fingerprint:\n%s\n%s",
 			a.Fingerprint(), e.Fingerprint())
-	}
-}
-
-// TestShardOptionValidation pins the Shards normalization: negatives are
-// rejected, and counts beyond the node count clamp to one lane per node.
-func TestShardOptionValidation(t *testing.T) {
-	if _, err := Run(tinySpec(workload.SchedPinned, 1000), Options{Seed: 1, Shards: -1}); err == nil {
-		t.Fatal("negative shard count accepted")
-	}
-	sys, err := NewSystem(tinySpec(workload.SchedPinned, 1000), Options{Seed: 1, Shards: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.seng == nil {
-		t.Fatal("shards=64 did not select the sharded engine")
-	}
-	if got, nodes := sys.seng.Lanes(), sys.cfg.Nodes; got != nodes {
-		t.Fatalf("lanes = %d, want clamped to node count %d", got, nodes)
-	}
-	if sys.seng.Lookahead() != sys.cfg.RemoteLatency {
-		t.Fatalf("epoch lookahead = %v, want the minimum cross-node latency %v",
-			sys.seng.Lookahead(), sys.cfg.RemoteLatency)
-	}
-}
-
-// TestShardedEngineStepChain drives a sharded system event by event through
-// the public step API, checking the lanes actually hold the step chain (the
-// engine fires events and the workload completes exactly as single-heap).
-func TestShardedEngineStepChain(t *testing.T) {
-	run := func(shards int) (uint64, sim.Time) {
-		sys, err := NewSystem(tinySpec(workload.SchedPinned, 20000), Options{Seed: 2, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.start()
-		for sys.engineStep() {
-			if sys.finished() {
-				break
-			}
-		}
-		return sys.engineFired(), sys.now()
-	}
-	f1, t1 := run(1)
-	f4, t4 := run(4)
-	if f1 != f4 || t1 != t4 {
-		t.Fatalf("stepwise runs diverged: shards=1 %d@%v, shards=4 %d@%v", f1, t1, f4, t4)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"ccnuma/internal/obs"
@@ -9,70 +10,102 @@ import (
 	"ccnuma/internal/workload"
 )
 
-// statsOpt returns the golden shard-stats workload options at the given lane
-// count (matching the Makefile's obs-shard-smoke step).
-func statsOpt(shards int) (spec *workload.Spec, opt Options) {
-	build, err := workload.ByName("engineering")
-	if err != nil {
-		panic(err)
-	}
-	return build(0.05, 11), Options{
-		Seed: 11, Dynamic: true, Duration: 4 * sim.Millisecond,
-		Shards: shards, CollectShardStats: true,
-	}
-}
-
-// TestShardStatsNeutral pins the two invariants the per-lane reports rest on:
-// collecting shard stats never perturbs the simulation (byte-identical
-// exports with and without collection, including at Shards 0, where
-// collection routes through the 1-lane sharded engine), and the dispatch
-// total is the shard-neutral quantity — per-lane splits legitimately differ
-// per lane count.
-func TestShardStatsNeutral(t *testing.T) {
-	spec, opt := statsOpt(0)
-	opt.CollectShardStats = false
-	opt.CollectEvents = true
-	base, err := Run(spec, opt)
+// checkStatsNeutral runs one configuration with and without per-node
+// dispatch stats, a flight recorder riding along on both, and pins the
+// invariants the per-node report rests on: collecting stats never perturbs
+// the simulation (byte-identical exports and recorder dumps), there is one
+// lane per node, every dispatched event is charged to exactly one lane, and
+// every cross-lane post is counted once leaving and once arriving.
+func checkStatsNeutral(t *testing.T, spec func() *workload.Spec, opt Options) {
+	t.Helper()
+	baseOpt := opt
+	baseOpt.CollectShardStats = false
+	baseOpt.Recorder = obs.NewRecorder(128)
+	base, err := Run(spec(), baseOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.ShardStats != nil {
 		t.Fatal("stats collected without CollectShardStats")
 	}
-	want := shardExports(t, base)
-
-	var total uint64
-	for _, shards := range []int{0, 1, 2, 4} {
-		spec, opt := statsOpt(shards)
-		opt.CollectEvents = true
-		res, err := Run(spec, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := shardExports(t, res); !bytes.Equal(want, got) {
-			t.Fatalf("shards=%d: collecting stats perturbed the simulation\nfirst divergence: %s",
-				shards, firstDiff(want, got))
-		}
-		st := res.ShardStats
-		if st == nil {
-			t.Fatalf("shards=%d: no stats collected", shards)
-		}
-		wantLanes := shards
-		if wantLanes < 1 {
-			wantLanes = 1
-		}
-		if st.Lanes() != wantLanes {
-			t.Fatalf("shards=%d: stats cover %d lanes", shards, st.Lanes())
-		}
-		if total == 0 {
-			total = st.TotalDispatched()
-		} else if st.TotalDispatched() != total {
-			t.Fatalf("shards=%d: total dispatched %d, want the shard-neutral %d",
-				shards, st.TotalDispatched(), total)
-		}
+	opt.CollectShardStats = true
+	opt.Recorder = obs.NewRecorder(128)
+	sys, err := NewSystem(spec(), opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if total == 0 {
-		t.Fatal("golden workload dispatched nothing")
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(shardExports(t, base), recorderDump(baseOpt.Recorder)...)
+	got := append(shardExports(t, res), recorderDump(opt.Recorder)...)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("collecting stats perturbed the simulation (%d vs %d bytes)\nfirst divergence: %s",
+			len(want), len(got), firstDiff(want, got))
+	}
+
+	st := res.ShardStats
+	if st == nil {
+		t.Fatal("no stats collected")
+	}
+	if st.Lanes() != sys.cfg.Nodes {
+		t.Fatalf("stats cover %d lanes, want one per node (%d)", st.Lanes(), sys.cfg.Nodes)
+	}
+	var dispatched, sent, recv uint64
+	for i := 0; i < st.Lanes(); i++ {
+		ls := st.Lane(i)
+		dispatched += ls.Dispatched
+		sent += ls.Sent
+		recv += ls.Recv
+	}
+	if dispatched != res.Events {
+		t.Fatalf("lanes dispatched %d events, the run fired %d", dispatched, res.Events)
+	}
+	if dispatched == 0 {
+		t.Fatal("run dispatched nothing")
+	}
+	if sent != st.Posts() || recv != st.Posts() {
+		t.Fatalf("sent %d / recv %d, want both equal to posts %d", sent, recv, st.Posts())
+	}
+}
+
+// TestShardStatsNeutral pins the per-node stats invariants (see
+// checkStatsNeutral) on the golden shard-stats configuration, the one the
+// Makefile's obs-shard-smoke step reports. (Every typed schedule there stays
+// on its node, so posts are zero; sim's TestShardStatsSerialized covers
+// non-zero traffic.)
+func TestShardStatsNeutral(t *testing.T) {
+	_, opt := statsOpt()
+	spec := func() *workload.Spec {
+		s, _ := statsOpt()
+		return s
+	}
+	checkStatsNeutral(t, spec, opt)
+}
+
+// recorderDump renders a flight recorder's ring (events plus truncation
+// marker); it follows dispatch order, so it joins the byte-equality gate.
+func recorderDump(r *obs.Recorder) []byte {
+	events, dropped := r.Dump()
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "recorder dropped=%d\n", dropped)
+	for _, e := range events {
+		fmt.Fprintf(&b, "%+v\n", e)
+	}
+	return b.Bytes()
+}
+
+// statsOpt returns the golden shard-stats workload options (matching the
+// Makefile's obs-shard-smoke step).
+func statsOpt() (spec *workload.Spec, opt Options) {
+	build, err := workload.ByName("engineering")
+	if err != nil {
+		panic(err)
+	}
+	return build(0.05, 11), Options{
+		Seed: 11, Dynamic: true, Duration: 4 * sim.Millisecond,
+		CollectShardStats: true, CollectEvents: true,
 	}
 }
 
@@ -80,11 +113,9 @@ func TestShardStatsNeutral(t *testing.T) {
 // layer for one run: the JSONL report and the lane-track Chrome trace. (The
 // ASCII table lives in internal/report, which imports core; its determinism
 // test sits there.)
-func statsArtifacts(t *testing.T, shards int) []byte {
+func statsArtifacts(t *testing.T) []byte {
 	t.Helper()
-	spec, opt := statsOpt(shards)
-	opt.CollectEvents = true
-	res, err := Run(spec, opt)
+	res, err := Run(statsOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,15 +130,38 @@ func statsArtifacts(t *testing.T, shards int) []byte {
 }
 
 // TestShardStatsDeterministic pins byte determinism of the shard-stats
-// artifacts: two identical runs at each lane count produce identical JSONL
-// and Chrome trace (with lane tracks) output.
+// artifacts: two identical runs produce identical JSONL and Chrome trace
+// (with lane tracks) output.
 func TestShardStatsDeterministic(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		a := statsArtifacts(t, shards)
-		b := statsArtifacts(t, shards)
-		if !bytes.Equal(a, b) {
-			t.Fatalf("shards=%d: shard-stats artifacts not deterministic\nfirst divergence: %s",
-				shards, firstDiff(a, b))
-		}
+	a := statsArtifacts(t)
+	b := statsArtifacts(t)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("shard-stats artifacts not deterministic\nfirst divergence: %s", firstDiff(a, b))
+	}
+}
+
+// TestLaneDispatchBalance pins the wake routing: with wakes charged to their
+// target CPU's node (instead of lane 0), no lane on a golden workload
+// dispatches more than twice the per-lane mean. Lane 0 still carries
+// everything unroutable — closures and periodics — so the bound is a
+// hotspot detector, not an exact-balance assertion.
+func TestLaneDispatchBalance(t *testing.T) {
+	for _, tc := range shardCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := tc.opt
+			opt.CollectShardStats = true
+			res, err := Run(tc.spec(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.ShardStats
+			mean := st.TotalDispatched() / uint64(st.Lanes())
+			for i := 0; i < st.Lanes(); i++ {
+				if d := st.Lane(i).Dispatched; d > 2*mean {
+					t.Fatalf("lane %d dispatched %d events, more than 2x the per-lane mean %d (total %d) — a hotspot",
+						i, d, mean, st.TotalDispatched())
+				}
+			}
+		})
 	}
 }

@@ -35,10 +35,9 @@ type procState struct {
 	vmID mem.ProcID
 	sp   *sched.Proc
 	spec *workload.ProcSpec
-	// specIdx is spec's index in the workload's Procs slice — the stable,
-	// shardable identity used wherever per-spec state is kept (pointer-keyed
-	// maps are banned: ranging one is latent nondeterminism, and pointers
-	// cannot be merged deterministically across lanes).
+	// specIdx is spec's index in the workload's Procs slice — the stable
+	// identity used wherever per-spec state is kept (pointer-keyed maps are
+	// banned: ranging one is latent nondeterminism).
 	specIdx int
 	gen     workload.Generator
 	alive   bool
@@ -55,12 +54,6 @@ type cpuState struct {
 	tlb     *tlb.TLB
 	cur     *procState
 	quantum sim.Time // current quantum's end
-
-	// lane is the event lane this CPU's step chain runs on (nil on the
-	// single-heap engine). The step handler captures it on every dispatch;
-	// schedule() re-arms through it so an idle tick admitted into a guarded
-	// window journals its reschedule instead of touching the engine heap.
-	lane *sim.Lane
 
 	// pagerWork holds hot-page batches queued for this CPU's next step;
 	// pagerHead indexes the next unserviced batch so draining reuses one
@@ -82,11 +75,7 @@ type System struct {
 	opt  Options
 	cfg  topology.Config
 
-	// Exactly one of eng (single-heap; Shards <= 1) and seng (per-node
-	// event lanes; Shards > 1) is non-nil; engine.go's wrappers dispatch to
-	// whichever exists.
 	eng      *sim.Engine
-	seng     *sim.Sharded
 	rng      *sim.Rand
 	val      *cache.Validity
 	allocs   *alloc.Allocator
@@ -129,8 +118,7 @@ type System struct {
 	// respawnsLeft is indexed by proc-spec index (procState.specIdx): the
 	// remaining respawn budget for churning specs, counted down from
 	// MaxRespawns. The replaced pointer-keyed map had identical semantics
-	// but was a latent nondeterminism hazard and could never be sharded or
-	// merged deterministically across lanes.
+	// but was a latent nondeterminism hazard.
 	respawnsLeft []int
 	completedAt  sim.Time
 }
@@ -197,7 +185,7 @@ func NewSystem(spec *workload.Spec, opt Options) (*System, error) {
 	}
 
 	if opt.Faults.Enabled() {
-		s.inj = fault.New(opt.Faults, opt.Seed, s.now)
+		s.inj = fault.New(opt.Faults, opt.Seed, s.eng.Now)
 		s.allocs.FailHook = s.inj.AllocShouldFail
 		s.mems.ExtraRemote = s.inj.ExtraRemoteLatency
 		if s.pg != nil {
@@ -231,12 +219,6 @@ func NewSystem(spec *workload.Spec, opt Options) (*System, error) {
 		s.tracer = trace.WithCapacity(traceCapacity(opt.Duration, cfg))
 	}
 	s.registerKinds()
-	if s.seng != nil {
-		// The kernel's confinement planner switches RunEpochs into guarded
-		// mode: serial dispatch for anything touching machine-global state,
-		// concurrent windows for the provably lane-confined idle fraction.
-		s.seng.SetPlanner(newConfinePlanner(s))
-	}
 	s.wireObservability()
 
 	s.wireKernelRegions()
@@ -286,13 +268,8 @@ func traceCapacity(d sim.Time, cfg topology.Config) int {
 
 // wakeProc is the typed wake-after-block event: make the process runnable
 // again if the same process still occupies the slot and is still alive.
-// Wake events are lane-routed to the node owning the target ready queue, so
-// the confinement planner can admit a same-lane wake into a guarded window;
-// the lane-confined annotation has the analyzer prove the delivery (slot
-// check plus scheduler enqueue) touches no machine-global state.
 //
 //numalint:hotpath
-//numalint:lane-confined
 func (s *System) wakeProc(id mem.ProcID, gen uint32) {
 	if int(id) >= len(s.procs) {
 		return
@@ -329,7 +306,7 @@ func (s *System) onHotBatch(batch []directory.HotRef) {
 		}
 		if delay > 0 {
 			//numalint:allow hotpath fault-injected delay path, cold by construction
-			s.schedAt(s.now()+delay, func(sim.Time) { s.queueBatch(cp) })
+			s.eng.At(s.eng.Now()+delay, func(sim.Time) { s.queueBatch(cp) })
 			return
 		}
 	}
@@ -464,7 +441,7 @@ func (s *System) exitProc(p *procState) {
 		}
 	}
 	if s.finished() && s.completedAt == 0 {
-		s.completedAt = s.now()
+		s.completedAt = s.eng.Now()
 	}
 }
 

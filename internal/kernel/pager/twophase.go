@@ -10,16 +10,15 @@ import (
 // Two-phase copy protocol.
 //
 // Steps 7-8 of Figure 2 move page data and then link the new frame into the
-// VM. On a lane-confined engine those two halves touch state owned by two
-// different nodes: the copy charges work at the *destination* node (the frame
-// being filled), while the mapping update mutates the master page's metadata,
-// which lives with the page's *home* node. Rather than letting one handler
-// reach across both, the work is split into an explicit message exchange —
-// a prepare phase addressed to the destination and a commit phase addressed
-// to the home — with phaseMsg as the wire format. Today's serial HandleBatch
-// drives both phases back-to-back in the original order, so the cost
-// accounting is byte-identical to the fused loop it replaced; a sharded
-// driver can instead journal each phase to its owning lane.
+// VM. Those two halves touch state owned by two different nodes: the copy
+// charges work at the *destination* node (the frame being filled), while the
+// mapping update mutates the master page's metadata, which lives with the
+// page's *home* node. Rather than letting one handler reach across both, the
+// work is split into an explicit message exchange — a prepare phase
+// addressed to the destination and a commit phase addressed to the home —
+// with phaseMsg as the wire format. HandleBatch drives both phases
+// back-to-back in the original order, so the cost accounting is
+// byte-identical to the fused loop it replaced.
 //
 // phaseMsg names the pending op by index, not pointer: pg.ops is a reusable
 // buffer that acquireOp may reallocate, so a pointer captured at decision
@@ -30,10 +29,7 @@ type phaseMsg struct {
 }
 
 // prepareCopy is phase one, executed at the destination node: charge the
-// page-copy cost for filling m.frame. It never touches master metadata, so
-// it is safe on the destination's lane.
-//
-//numalint:lane-confined
+// page-copy cost for filling m.frame. It never touches master metadata.
 func (pg *Pager) prepareCopy(m phaseMsg, t sim.Time, bd *stats.Breakdown) sim.Time {
 	op := &pg.ops[m.opIdx]
 	cc := pg.cfg.CopyCost()
@@ -50,13 +46,6 @@ func (pg *Pager) prepareCopy(m phaseMsg, t sim.Time, bd *stats.Breakdown) sim.Ti
 // changed between decision and commit (e.g. a collapse raced in) rejects the
 // commit; the prepared frame is returned to its node's allocator and the
 // phase reports ok=false.
-//
-// commitCopy is deliberately NOT annotated lane-confined yet: the analyzer
-// proves it would reach the machine-global engine clock through
-// vm.Migrate's observability emit (EmitNow → Tracer.Clock → Sharded.Now),
-// so batching commits onto their owning lanes (the ROADMAP follow-on) first
-// needs the tracer to grow a lane-safe clock. Re-adding the annotation is
-// how that work will know it is done.
 func (pg *Pager) commitCopy(m phaseMsg, t sim.Time, bd *stats.Breakdown) (sim.Time, bool) {
 	op := &pg.ops[m.opIdx]
 	k := pg.cfg.Kernel

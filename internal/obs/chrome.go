@@ -24,8 +24,8 @@ const (
 	machinePID = 1 << 16
 	// kernelTID is the synthetic thread id for events without a CPU context.
 	kernelTID = 1 << 16
-	// lanePID is the synthetic process id for the sharded engine's lane
-	// tracks (one thread per lane, epoch/window slices, mailbox counter).
+	// lanePID is the synthetic process id for the per-node dispatch lane
+	// tracks (one thread per lane, one slice per timeline window).
 	lanePID = 1 << 17
 )
 
@@ -58,11 +58,10 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 }
 
 // WriteChromeTraceWith writes the buffered events as Chrome trace-event
-// JSON, and — when st is non-nil — appends the sharded engine's lane tracks:
-// a "lanes" process with one thread per lane, an epoch/window slice per lane
-// carrying its dispatch count, and a mailbox-drain counter track. Output is
-// byte-deterministic for a deterministic event sequence (lane tracks carry
-// only virtual-time fields).
+// JSON, and — when st is non-nil — appends the per-node dispatch lane
+// tracks: a "lanes" process with one thread per lane and a window slice per
+// lane carrying its dispatch count. Output is byte-deterministic for a
+// deterministic event sequence (lane tracks carry only virtual-time fields).
 func (t *Tracer) WriteChromeTraceWith(w io.Writer, st *sim.ShardStats) error {
 	t.Sort()
 	evs := t.Events()
@@ -130,22 +129,14 @@ func (t *Tracer) WriteChromeTraceWith(w io.Writer, st *sim.ShardStats) error {
 			emit(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"lane%d"}}`,
 				lanePID, i, i)
 		}
-		slice := "window"
-		if st.Epochs() > 0 {
-			slice = "epoch"
-		}
 		for wi := 0; wi < st.Windows(); wi++ {
-			start, end, drained, dispatch := st.WindowAt(wi)
+			start, end, dispatch := st.WindowAt(wi)
 			for lane, n := range dispatch {
 				if n == 0 {
 					continue
 				}
-				emit(`{"name":%q,"ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":{"dispatched":%d}}`,
-					slice, chromeTS(int64(start)), chromeTS(int64(end-start)), lanePID, lane, n)
-			}
-			if st.Epochs() > 0 {
-				emit(`{"name":"mailbox-drain","ph":"C","ts":%s,"pid":%d,"tid":0,"args":{"posts":%d}}`,
-					chromeTS(int64(end)), lanePID, drained)
+				emit(`{"name":"window","ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":{"dispatched":%d}}`,
+					chromeTS(int64(start)), chromeTS(int64(end-start)), lanePID, lane, n)
 			}
 		}
 	}

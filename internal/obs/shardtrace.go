@@ -8,19 +8,16 @@ import (
 	"ccnuma/internal/sim"
 )
 
-// Shard-stats export: the sharded engine's per-lane introspection
+// Shard-stats export: the engine's per-node dispatch attribution
 // (sim.ShardStats) as deterministic JSONL and as Perfetto lane tracks inside
-// the Chrome trace. Only virtual-time fields are exported — the wall-clock
-// barrier-stall field exists for interactive profiling and would break byte
-// determinism, so it never appears here.
+// the Chrome trace. Every field derives from virtual time and the event
+// sequence, so the export is byte-deterministic for a deterministic run.
 
 // shardSummaryJSON is the first JSONL line: the collector-wide picture.
 type shardSummaryJSON struct {
 	Record   string   `json:"record"`
 	Lanes    int      `json:"lanes"`
-	Epochs   uint64   `json:"epochs"`
 	Posts    uint64   `json:"posts"`
-	MaxDrain int      `json:"max_drain"`
 	WindowNs sim.Time `json:"window_ns"`
 	Total    uint64   `json:"total_dispatched"`
 }
@@ -33,35 +30,28 @@ type shardLaneJSON struct {
 	HeapMax    int      `json:"heap_max"`
 	Sent       uint64   `json:"sent"`
 	Recv       uint64   `json:"recv"`
-	StallNs    sim.Time `json:"barrier_stall_ns"`
 	Traffic    []uint64 `json:"traffic"`
 }
 
-// shardWindowJSON is one timeline record (serialized bucket or epoch).
+// shardWindowJSON is one timeline record.
 type shardWindowJSON struct {
 	Record   string   `json:"record"`
 	Window   int      `json:"window"`
 	StartNs  sim.Time `json:"start_ns"`
 	EndNs    sim.Time `json:"end_ns"`
-	Drained  int      `json:"drained"`
 	Dispatch []uint64 `json:"dispatch"`
 }
 
 // WriteShardStatsJSONL writes the shard-stats report as JSONL: a summary
 // line, one line per lane (with its outbound traffic row), and one line per
-// timeline window. Byte-deterministic for a deterministic run; the per-lane
-// numbers depend on the lane count by construction, so determinism is
-// per-shard-count (run-to-run and worker-count-neutral), while
-// total_dispatched is shard-neutral.
+// timeline window.
 func WriteShardStatsJSONL(w io.Writer, st *sim.ShardStats) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(shardSummaryJSON{
 		Record:   "summary",
 		Lanes:    st.Lanes(),
-		Epochs:   st.Epochs(),
 		Posts:    st.Posts(),
-		MaxDrain: st.MaxDrain(),
 		WindowNs: st.Window(),
 		Total:    st.TotalDispatched(),
 	}); err != nil {
@@ -80,20 +70,18 @@ func WriteShardStatsJSONL(w io.Writer, st *sim.ShardStats) error {
 			HeapMax:    ls.HeapMax,
 			Sent:       ls.Sent,
 			Recv:       ls.Recv,
-			StallNs:    ls.BarrierStall,
 			Traffic:    row,
 		}); err != nil {
 			return err
 		}
 	}
 	for i := 0; i < st.Windows(); i++ {
-		start, end, drained, dispatch := st.WindowAt(i)
+		start, end, dispatch := st.WindowAt(i)
 		if err := enc.Encode(shardWindowJSON{
 			Record:   "window",
 			Window:   i,
 			StartNs:  start,
 			EndNs:    end,
-			Drained:  drained,
 			Dispatch: dispatch,
 		}); err != nil {
 			return err

@@ -7,33 +7,27 @@ import (
 	"ccnuma/internal/sim"
 )
 
-// ShardStatsTable renders the sharded engine's per-lane picture as a
-// fixed-width ASCII table: dispatch counts (with a proportional bar), heap
-// high-water marks, cross-lane traffic, and virtual barrier stalls, plus the
-// NxN traffic matrix when any post crossed lanes and an epoch summary when
-// RunEpochs drove the run. Only virtual-time fields appear, so the rendering
-// is byte-deterministic run to run.
+// ShardStatsTable renders the engine's per-node dispatch attribution as a
+// fixed-width ASCII table: dispatch counts (with a proportional bar),
+// pending high-water marks and cross-lane traffic per lane, plus the NxN
+// traffic matrix when any schedule crossed lanes. Only virtual-time fields
+// appear, so the rendering is byte-deterministic run to run.
 func ShardStatsTable(st *sim.ShardStats) string {
 	var b strings.Builder
 	if st == nil || st.Lanes() == 0 {
 		return "shard stats: not collected\n"
 	}
 	n := st.Lanes()
-	fmt.Fprintf(&b, "Shard lanes: %d   dispatched=%d posts=%d", n, st.TotalDispatched(), st.Posts())
-	if st.Epochs() > 0 {
-		fmt.Fprintf(&b, " epochs=%d max-drain=%d", st.Epochs(), st.MaxDrain())
-	}
-	b.WriteByte('\n')
+	fmt.Fprintf(&b, "Shard lanes: %d   dispatched=%d posts=%d\n", n, st.TotalDispatched(), st.Posts())
 
-	row(&b, "lane", "dispatched", "heap-max", "sent", "recv", "stall")
+	row(&b, "lane", "dispatched", "heap-max", "sent", "recv")
 	for i := 0; i < n; i++ {
 		ls := st.Lane(i)
 		row(&b, fmt.Sprintf("lane%d", i),
 			fmt.Sprintf("%d", ls.Dispatched),
 			fmt.Sprintf("%d", ls.HeapMax),
 			fmt.Sprintf("%d", ls.Sent),
-			fmt.Sprintf("%d", ls.Recv),
-			fmt.Sprintf("%v", ls.BarrierStall))
+			fmt.Sprintf("%d", ls.Recv))
 	}
 
 	labels := make([]string, n)

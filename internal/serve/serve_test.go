@@ -127,6 +127,9 @@ func TestBadRequests(t *testing.T) {
 		{"negative scale", `{"workload":"engineering","scale":-1}`},
 		{"bad fault config", `{"workload":"engineering","faults":{"drop_batch":2}}`},
 		{"not json", `hello`},
+		{"trailing data", `{"workload":"engineering"}{"bogus":1}`},
+		{"retired shards field", `{"workload":"engineering","shards":2}`},
+		{"retired workers field", `{"workload":"engineering","workers":2}`},
 	}
 	for _, c := range cases {
 		rec := post(s, c.body)

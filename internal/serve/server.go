@@ -191,6 +191,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errorBody{Error: "parse: " + err.Error()})
 		return
 	}
+	// The body is exactly one JSON value: anything but whitespace after it
+	// is a malformed request, not something to ignore.
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); err != io.EOF {
+		writeError(w, http.StatusBadRequest, errorBody{Error: "parse: trailing data after the request object"})
+		return
+	}
 	job, err := req.Build()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, errorBody{Error: err.Error()})

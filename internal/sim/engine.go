@@ -24,6 +24,7 @@ type item struct {
 	seq  uint64 // tie-break so equal-time events fire in schedule order
 	fn   Event  // closure events; nil for typed events
 	kind Kind   // typed events: index into the handler table
+	lane int32  // stats lane charged at schedule time (0 when stats are off)
 	arg  uint64 // typed events: scheduling-time payload
 }
 
@@ -51,11 +52,14 @@ type Engine struct {
 
 	// Periodic schedules share one registered kind (periodicKind) whose arg
 	// indexes periodics, so calling Every any number of times grows the
-	// handler table by at most one entry — repeated periodic scheduling must
-	// be O(1) in table growth (a sharded engine re-arms periodics per epoch).
+	// handler table by at most one entry.
 	periodics    []periodic
 	periodicKind Kind
 	hasPeriodic  bool
+
+	// stats is the optional per-lane dispatch attribution (nil = disabled;
+	// AtKind, At and Step each pay one branch for it).
+	stats *ShardStats
 }
 
 // periodic is one Every schedule: the callback, its period, and its stop
@@ -95,6 +99,9 @@ func (e *Engine) At(at Time, fn Event) {
 		panic("sim: event scheduled in the past")
 	}
 	e.seq++
+	if e.stats != nil {
+		e.stats.notePending(0)
+	}
 	e.heap = append(e.heap, item{at: at, seq: e.seq, fn: fn, kind: noKind})
 	e.up(len(e.heap) - 1)
 }
@@ -132,7 +139,11 @@ func (e *Engine) AtKind(at Time, k Kind, arg uint64) {
 		panic("sim: unregistered event kind")
 	}
 	e.seq++
-	e.heap = append(e.heap, item{at: at, seq: e.seq, kind: k, arg: arg})
+	var lane int32
+	if e.stats != nil {
+		lane = e.stats.noteTyped(k, arg)
+	}
+	e.heap = append(e.heap, item{at: at, seq: e.seq, kind: k, lane: lane, arg: arg})
 	e.up(len(e.heap) - 1)
 }
 
@@ -190,12 +201,28 @@ func (e *Engine) Step() bool {
 	}
 	e.now = top.at
 	e.fired++
+	if e.stats != nil {
+		e.dispatchCounted(top)
+		return true
+	}
 	if top.fn != nil {
 		top.fn(e.now)
 	} else {
 		e.handlers[top.kind](e.now, top.arg)
 	}
 	return true
+}
+
+// dispatchCounted is Step's dispatch with stats on: the event is charged to
+// its lane, and that lane is the source of every schedule its callback makes.
+func (e *Engine) dispatchCounted(top item) {
+	e.stats.noteDispatch(top.lane, e.now)
+	if top.fn != nil {
+		top.fn(e.now)
+	} else {
+		e.handlers[top.kind](e.now, top.arg)
+	}
+	e.stats.cur = -1
 }
 
 // RunUntil dispatches events until the queue is empty or the next event is

@@ -59,3 +59,25 @@ func TestEngineTypedScheduleZeroAllocs(t *testing.T) {
 		t.Fatalf("typed schedule+dispatch allocates %.1f per round, want 0", avg)
 	}
 }
+
+// BenchmarkEngineStatsDisabled runs the typed self-rescheduling chain with
+// no stats collector attached: the per-lane attribution costs one nil branch
+// per schedule and per dispatch, and must allocate nothing.
+func BenchmarkEngineStatsDisabled(b *testing.B) {
+	b.ReportAllocs()
+	var e Engine
+	n := 0
+	var kind Kind
+	kind = e.Register(func(now Time, arg uint64) {
+		n++
+		if n < b.N {
+			e.AfterKind(1, kind, arg)
+		}
+	})
+	b.ResetTimer()
+	e.AfterKind(1, kind, 0)
+	e.Run()
+	if e.Stats() != nil {
+		b.Fatal("stats attached")
+	}
+}

@@ -133,6 +133,21 @@ func TestEngineEvery(t *testing.T) {
 	}
 }
 
+// TestEveryHandlerTableGrowth pins that any number of Every calls grow the
+// handler table by at most one entry: all periodics share one tick kind.
+func TestEveryHandlerTableGrowth(t *testing.T) {
+	var eng Engine
+	eng.Register(func(Time, uint64) {}) // unrelated registration
+	base := len(eng.handlers)
+	for i := 0; i < 1000; i++ {
+		eng.Every(Time(i+1), func(Time) {}, func() bool { return true })
+	}
+	if got := len(eng.handlers) - base; got != 1 {
+		t.Fatalf("1000 Every calls grew the handler table by %d entries, want 1", got)
+	}
+	eng.Run() // every periodic stops after one firing
+}
+
 func TestEngineTypedEventsInterleaveWithClosures(t *testing.T) {
 	// Typed and closure events share one queue and one seq counter, so
 	// equal-time events fire in schedule order regardless of which API

@@ -1,98 +1,93 @@
 package sim
 
-// ShardStats is the sharded engine's introspection layer: per-lane dispatch
-// counts, heap high-water marks, cross-lane traffic, barrier stalls, and a
-// windowed dispatch timeline. A nil *ShardStats is the disabled state — every
-// hook is guarded by the same one-branch nil-check discipline as the obs
-// tracer, so an engine without stats pays one branch per hook site and
-// nothing else (pinned by BenchmarkShardStatsDisabled).
+// ShardStats is the engine's per-node dispatch attribution: every event is
+// charged to a lane when it is scheduled, and the collector keeps per-lane
+// dispatch counts, pending high-water marks, cross-lane schedule traffic,
+// and a windowed dispatch timeline. A lane is a unit of locality — the
+// machine simulator makes one lane per node and routes a CPU's step events
+// to its node — so the report shows how the event load spreads over the
+// machine without changing how it is dispatched.
 //
-// All virtual-time fields are deterministic: they derive only from the event
-// sequence, which is itself deterministic at any worker count (the epoch
-// barrier's drain order) and observationally identical at any lane count
-// (the serialized merge). The one wall-clock field, LaneStat.BarrierStallWall,
-// is filled only when a caller outside the deterministic packages injects
-// WallClock; it is excluded from every deterministic export.
+// Attribution happens at schedule time. A typed event goes to the lane its
+// kind's route function names (see Route); kinds without a route, closure
+// events and periodics go to lane 0. A typed schedule made while an event
+// of another lane is being dispatched counts as one cross-lane post from the
+// dispatching lane to the destination lane. Closure schedules carry no route
+// and are never counted as posts.
+//
+// A nil *ShardStats is the disabled state: the engine pays one branch per
+// AtKind, At and Step (pinned by BenchmarkEngineStatsDisabled). Every field
+// derives from the event sequence alone, so the report is byte-deterministic
+// for a deterministic run.
 type ShardStats struct {
-	// WallClock, when set, supplies wall-clock nanoseconds for measuring how
-	// long each lane waits at the epoch barrier for the slowest lane. It must
-	// be injected from outside the deterministic packages (tests, servers);
-	// the sim package itself never reads the wall clock. Epoch-mode lane
-	// workers call it concurrently, so it must be goroutine-safe (time.Now
-	// is; a test fake needs an atomic).
-	WallClock func() int64
-
 	lanes  int
 	window Time
 
+	// route maps a kind to its lane function (nil entries and kinds beyond
+	// the slice route to lane 0).
+	route []func(arg uint64) int
+	// cur is the lane of the event being dispatched, -1 outside dispatch.
+	cur int32
+
 	lane    []LaneStat
+	pending []int    // scheduled, undispatched events per lane
 	traffic []uint64 // cross-lane posts, indexed src*lanes+dst
+	posts   uint64
 
-	epochs   uint64
-	posts    uint64
-	maxDrain int
-
-	// Windowed timeline, stored flat to bound allocation: one record per
-	// serialized-merge bucket or per epoch. winLane holds lanes entries per
-	// window (the per-lane dispatch counts inside it).
+	// Windowed timeline, stored flat to bound allocation: winLane holds
+	// lanes entries per window (the per-lane dispatch counts inside it).
 	winStart []Time
 	winEnd   []Time
-	winDrain []int32
 	winLane  []uint64
-
-	// Serialized-merge bucketing state.
-	curOpen bool
-	curEnd  Time
-
-	// Epoch bookkeeping: the per-lane dispatch totals at the previous
-	// barrier (for per-epoch deltas) and each lane's wall finish time within
-	// the current epoch (for wall barrier stalls).
-	epochPrev    []uint64
-	laneWallDone []int64
+	curOpen  bool
+	curEnd   Time
 }
 
 // LaneStat is one lane's counters.
 type LaneStat struct {
 	// Dispatched counts events this lane fired.
 	Dispatched uint64
-	// HeapMax is the lane heap's high-water mark (peak pending events).
+	// HeapMax is the lane's high-water mark of pending events.
 	HeapMax int
-	// Sent and Recv count cross-lane posts leaving and entering the lane
-	// (epoch-mode mailbox posts, or cross-lane schedules under the
-	// serialized merge).
+	// Sent and Recv count cross-lane posts leaving and entering the lane.
 	Sent uint64
 	Recv uint64
-	// BarrierStall is the virtual time the lane spent parked at epoch
-	// barriers waiting for the window to close.
-	BarrierStall Time
-	// BarrierStallWall is the wall-clock time (ns) the lane spent finished
-	// at a barrier waiting for the slowest lane. Zero unless WallClock is
-	// set; never part of a deterministic export.
-	BarrierStallWall int64
 }
 
-// EnableStats attaches a stats collector to the engine and returns it.
-// window buckets the serialized merge's dispatch timeline (<= 0 disables
-// that timeline; epoch mode records one window per epoch regardless).
-func (s *Sharded) EnableStats(window Time) *ShardStats {
-	n := len(s.lanes)
-	st := &ShardStats{
-		lanes:        n,
-		window:       window,
-		lane:         make([]LaneStat, n),
-		traffic:      make([]uint64, n*n),
-		epochPrev:    make([]uint64, n),
-		laneWallDone: make([]int64, n),
+// EnableStats attaches a stats collector with the given lane count to the
+// engine and returns it. window buckets the dispatch timeline (<= 0
+// disables the timeline). Enable stats before scheduling anything: events
+// already queued were never attributed to a lane.
+func (e *Engine) EnableStats(lanes int, window Time) *ShardStats {
+	if lanes < 1 {
+		panic("sim: stats need at least one lane")
 	}
-	s.stats = st
+	if len(e.heap) > 0 {
+		panic("sim: stats enabled with events already scheduled")
+	}
+	st := &ShardStats{
+		lanes:   lanes,
+		window:  window,
+		cur:     -1,
+		lane:    make([]LaneStat, lanes),
+		pending: make([]int, lanes),
+		traffic: make([]uint64, lanes*lanes),
+	}
+	e.stats = st
 	return st
 }
 
 // Stats returns the engine's stats collector (nil when disabled).
-func (s *Sharded) Stats() *ShardStats { return s.stats }
+func (e *Engine) Stats() *ShardStats { return e.stats }
 
-// On reports whether the collector is attached. Safe on nil.
-func (st *ShardStats) On() bool { return st != nil }
+// Route attributes kind k's events to the lane laneOf returns for the
+// scheduling-time arg. Results outside [0, Lanes) fall back to lane 0.
+func (st *ShardStats) Route(k Kind, laneOf func(arg uint64) int) {
+	for int(k) >= len(st.route) {
+		st.route = append(st.route, nil)
+	}
+	st.route[k] = laneOf
+}
 
 // Lanes returns the lane count the collector was built for. Safe on nil.
 func (st *ShardStats) Lanes() int {
@@ -108,39 +103,72 @@ func (st *ShardStats) Lane(i int) LaneStat { return st.lane[i] }
 // Traffic returns the number of cross-lane posts sent from src to dst.
 func (st *ShardStats) Traffic(src, dst int) uint64 { return st.traffic[src*st.lanes+dst] }
 
-// Epochs returns how many epoch windows RunEpochs has completed.
-func (st *ShardStats) Epochs() uint64 { return st.epochs }
-
 // Posts returns the total cross-lane post count.
 func (st *ShardStats) Posts() uint64 { return st.posts }
 
-// MaxDrain returns the largest single barrier drain (posts delivered at one
-// epoch boundary).
-func (st *ShardStats) MaxDrain() int { return st.maxDrain }
-
-// Window returns the serialized-merge timeline bucket width.
+// Window returns the timeline bucket width.
 func (st *ShardStats) Window() Time { return st.window }
 
-// Windows returns the number of timeline records (serialized buckets plus
-// epochs).
+// Windows returns the number of timeline records.
 func (st *ShardStats) Windows() int { return len(st.winStart) }
 
-// WindowAt returns timeline record i: its time bounds, the posts drained at
-// its closing barrier (epoch windows only), and the per-lane dispatch counts
-// inside it. The returned slice aliases the collector's storage; do not
-// mutate.
-func (st *ShardStats) WindowAt(i int) (start, end Time, drained int, dispatch []uint64) {
-	return st.winStart[i], st.winEnd[i], int(st.winDrain[i]),
-		st.winLane[i*st.lanes : (i+1)*st.lanes]
+// WindowAt returns timeline record i: its time bounds and the per-lane
+// dispatch counts inside it. The returned slice aliases the collector's
+// storage; do not mutate.
+func (st *ShardStats) WindowAt(i int) (start, end Time, dispatch []uint64) {
+	return st.winStart[i], st.winEnd[i], st.winLane[i*st.lanes : (i+1)*st.lanes]
 }
 
-// NoteDispatch records one serialized-merge dispatch on a lane, bucketing it
-// into the windowed timeline. Single-threaded by construction (the
-// serialized merge runs on one goroutine). No-op on nil.
-func (st *ShardStats) NoteDispatch(lane int, now Time) {
-	if st == nil {
-		return
+// TotalDispatched sums the per-lane dispatch counts; it equals the
+// engine's fired count.
+func (st *ShardStats) TotalDispatched() uint64 {
+	var n uint64
+	for i := range st.lane {
+		n += st.lane[i].Dispatched
 	}
+	return n
+}
+
+// laneOf resolves the lane a typed event of kind k with arg belongs to.
+func (st *ShardStats) laneOf(k Kind, arg uint64) int32 {
+	if int(k) < len(st.route) {
+		if fn := st.route[k]; fn != nil {
+			if d := fn(arg); d > 0 && d < st.lanes {
+				return int32(d)
+			}
+		}
+	}
+	return 0
+}
+
+// noteTyped attributes one typed schedule and returns its lane: a cross-lane
+// post when another lane is dispatching, and one more pending event.
+func (st *ShardStats) noteTyped(k Kind, arg uint64) int32 {
+	dst := st.laneOf(k, arg)
+	if st.cur >= 0 && dst != st.cur {
+		st.traffic[int(st.cur)*st.lanes+int(dst)]++
+		st.lane[st.cur].Sent++
+		st.lane[dst].Recv++
+		st.posts++
+	}
+	st.notePending(dst)
+	return dst
+}
+
+// notePending counts one more pending event on lane and tracks its
+// high-water mark.
+func (st *ShardStats) notePending(lane int32) {
+	st.pending[lane]++
+	if st.pending[lane] > st.lane[lane].HeapMax {
+		st.lane[lane].HeapMax = st.pending[lane]
+	}
+}
+
+// noteDispatch records one dispatch on lane at now, bucketing it into the
+// timeline, and marks lane as the dispatching one.
+func (st *ShardStats) noteDispatch(lane int32, now Time) {
+	st.cur = lane
+	st.pending[lane]--
 	st.lane[lane].Dispatched++
 	if st.window <= 0 {
 		return
@@ -148,7 +176,7 @@ func (st *ShardStats) NoteDispatch(lane int, now Time) {
 	if !st.curOpen || now >= st.curEnd {
 		st.roll(now)
 	}
-	st.winLane[len(st.winLane)-st.lanes+lane]++
+	st.winLane[len(st.winLane)-st.lanes+int(lane)]++
 }
 
 // roll opens the timeline bucket containing now.
@@ -158,86 +186,7 @@ func (st *ShardStats) roll(now Time) {
 	st.curEnd = start + st.window
 	st.winStart = append(st.winStart, start)
 	st.winEnd = append(st.winEnd, st.curEnd)
-	st.winDrain = append(st.winDrain, 0)
 	for i := 0; i < st.lanes; i++ {
 		st.winLane = append(st.winLane, 0)
 	}
-}
-
-// NoteLaneDispatch records one epoch-mode dispatch. Lane-confined: it
-// touches only lane's own entry, so concurrent lanes never race. The epoch
-// timeline is filled in at the barrier (noteEpoch) instead of per event.
-// No-op on nil.
-func (st *ShardStats) NoteLaneDispatch(lane int) {
-	if st == nil {
-		return
-	}
-	st.lane[lane].Dispatched++
-}
-
-// NoteCross records one cross-lane post from src to dst. Called from the
-// serialized merge's scheduling path and from the single-threaded epoch
-// barrier drain. No-op on nil.
-func (st *ShardStats) NoteCross(src, dst int) {
-	if st == nil {
-		return
-	}
-	st.traffic[src*st.lanes+dst]++
-	st.lane[src].Sent++
-	st.lane[dst].Recv++
-	st.posts++
-}
-
-// NoteBarrierStall records the virtual time a lane sits parked at an epoch
-// barrier. Lane-confined. No-op on nil.
-func (st *ShardStats) NoteBarrierStall(lane int, d Time) {
-	if st == nil {
-		return
-	}
-	st.lane[lane].BarrierStall += d
-}
-
-// noteLaneDone stamps a lane's wall-clock finish time within the current
-// epoch. Lane-confined (distinct slice elements); a no-op without WallClock.
-func (st *ShardStats) noteLaneDone(lane int) {
-	if st.WallClock != nil {
-		st.laneWallDone[lane] = st.WallClock()
-	}
-}
-
-// noteEpoch closes one epoch window: the epoch counter, the drain size, a
-// timeline record with each lane's dispatch delta, and (when WallClock is
-// set) each lane's wall barrier stall. Called single-threaded between
-// barriers.
-func (st *ShardStats) noteEpoch(base, end Time, drained int) {
-	st.epochs++
-	if drained > st.maxDrain {
-		st.maxDrain = drained
-	}
-	st.winStart = append(st.winStart, base)
-	st.winEnd = append(st.winEnd, end)
-	st.winDrain = append(st.winDrain, int32(drained))
-	for i := 0; i < st.lanes; i++ {
-		st.winLane = append(st.winLane, st.lane[i].Dispatched-st.epochPrev[i])
-		st.epochPrev[i] = st.lane[i].Dispatched
-	}
-	if st.WallClock != nil {
-		wall := st.WallClock()
-		for i := range st.laneWallDone {
-			if st.laneWallDone[i] > 0 {
-				st.lane[i].BarrierStallWall += wall - st.laneWallDone[i]
-				st.laneWallDone[i] = 0
-			}
-		}
-	}
-}
-
-// TotalDispatched sums the per-lane dispatch counts — a shard-neutral
-// invariant (it equals the engine's fired count regardless of lane count).
-func (st *ShardStats) TotalDispatched() uint64 {
-	var n uint64
-	for i := range st.lane {
-		n += st.lane[i].Dispatched
-	}
-	return n
 }

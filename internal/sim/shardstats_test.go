@@ -1,60 +1,34 @@
 package sim
 
 import (
-	"fmt"
-	"strings"
-	"sync/atomic"
+	"reflect"
 	"testing"
 )
 
-// statsSnapshot renders every deterministic (virtual-time) field of a
-// collector. Byte equality of two snapshots is how the tests pin worker-count
-// neutrality; BarrierStallWall is wall-clock and deliberately excluded.
-func statsSnapshot(st *ShardStats) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "lanes=%d epochs=%d posts=%d maxdrain=%d total=%d\n",
-		st.Lanes(), st.Epochs(), st.Posts(), st.MaxDrain(), st.TotalDispatched())
-	for i := 0; i < st.Lanes(); i++ {
-		ls := st.Lane(i)
-		fmt.Fprintf(&b, "lane%d d=%d h=%d s=%d r=%d stall=%d\n",
-			i, ls.Dispatched, ls.HeapMax, ls.Sent, ls.Recv, ls.BarrierStall)
-	}
-	for s := 0; s < st.Lanes(); s++ {
-		for d := 0; d < st.Lanes(); d++ {
-			fmt.Fprintf(&b, "%d ", st.Traffic(s, d))
-		}
-	}
-	b.WriteByte('\n')
-	for i := 0; i < st.Windows(); i++ {
-		start, end, drained, disp := st.WindowAt(i)
-		fmt.Fprintf(&b, "w%d %d..%d drain=%d %v\n", i, start, end, drained, disp)
-	}
-	return b.String()
-}
-
-// TestShardStatsSerialized pins the serialized-merge hooks: dispatch counts
-// match the engine's fired count, cross-lane schedules made while dispatching
-// land in the traffic matrix, heap high-water marks are seen, and the
-// dispatch timeline buckets on window-aligned boundaries.
+// TestShardStatsSerialized pins the attribution hooks: dispatch counts match
+// the engine's fired count, typed schedules made while another lane is
+// dispatching land in the traffic matrix, pending high-water marks are seen,
+// and the dispatch timeline buckets on window-aligned boundaries.
 func TestShardStatsSerialized(t *testing.T) {
 	const lanes = 3
-	sh := NewSharded(lanes, 0)
-	st := sh.EnableStats(64)
+	var eng Engine
+	st := eng.EnableStats(lanes, 64)
 	var k Kind
-	k = sh.Register(func(l *Lane, now Time, arg uint64) {
+	k = eng.Register(func(now Time, arg uint64) {
 		if arg >= lanes {
 			// Reschedule on this lane and fan one event to the next lane:
 			// dispatch-time cross-lane scheduling the stats must attribute.
-			sh.AtKind(now+7, k, arg-lanes)
-			sh.AtKind(now+9, k, (arg+1)%lanes)
+			eng.AtKind(now+7, k, arg-lanes)
+			eng.AtKind(now+9, k, (arg+1)%lanes)
 		}
-	}, func(arg uint64) int { return int(arg) % lanes })
+	})
+	st.Route(k, func(arg uint64) int { return int(arg) % lanes })
 	for i := uint64(0); i < lanes; i++ {
-		sh.AtKind(Time(i), k, 30*lanes+i)
+		eng.AtKind(Time(i), k, 30*lanes+i)
 	}
-	sh.RunUntil(Millisecond)
+	eng.RunUntil(Millisecond)
 
-	if got, want := st.TotalDispatched(), sh.Fired(); got != want {
+	if got, want := st.TotalDispatched(), eng.Fired(); got != want {
 		t.Fatalf("TotalDispatched = %d, engine fired %d", got, want)
 	}
 	if st.Posts() == 0 {
@@ -65,7 +39,7 @@ func TestShardStatsSerialized(t *testing.T) {
 		sent += st.Lane(i).Sent
 		recv += st.Lane(i).Recv
 		if st.Lane(i).HeapMax < 1 {
-			t.Fatalf("lane %d recorded no heap high-water mark", i)
+			t.Fatalf("lane %d recorded no pending high-water mark", i)
 		}
 		if st.Traffic(i, i) != 0 {
 			t.Fatalf("lane %d recorded self-traffic", i)
@@ -79,12 +53,9 @@ func TestShardStatsSerialized(t *testing.T) {
 	}
 	var inWindows uint64
 	for i := 0; i < st.Windows(); i++ {
-		start, end, drained, disp := st.WindowAt(i)
+		start, end, disp := st.WindowAt(i)
 		if start%st.Window() != 0 || end != start+st.Window() {
 			t.Fatalf("window %d = [%d,%d), want %d-aligned", i, start, end, st.Window())
-		}
-		if drained != 0 {
-			t.Fatalf("serialized window %d reports a barrier drain of %d", i, drained)
 		}
 		for _, d := range disp {
 			inWindows += d
@@ -93,121 +64,82 @@ func TestShardStatsSerialized(t *testing.T) {
 	if inWindows != st.TotalDispatched() {
 		t.Fatalf("timeline accounts for %d dispatches, want %d", inWindows, st.TotalDispatched())
 	}
-	if st.Epochs() != 0 {
-		t.Fatal("serialized run counted epochs")
+}
+
+// TestShardStatsUnroutedOnLaneZero pins the fallback routes: closures,
+// periodics, kinds without a route and out-of-range lanes all charge lane 0,
+// and a closure scheduled from another lane is not a cross-lane post.
+func TestShardStatsUnroutedOnLaneZero(t *testing.T) {
+	var eng Engine
+	st := eng.EnableStats(2, 0)
+	routed := eng.Register(func(now Time, arg uint64) {
+		eng.At(now+1, func(Time) {})
+	})
+	st.Route(routed, func(arg uint64) int { return int(arg) })
+	plain := eng.Register(func(Time, uint64) {})
+	eng.AtKind(1, routed, 1) // lane 1, schedules a closure onto lane 0
+	eng.AtKind(2, routed, 7) // out of range: lane 0
+	eng.AtKind(3, plain, 1)  // no route: lane 0
+	n := 0
+	eng.Every(5, func(Time) { n++ }, func() bool { return n >= 2 })
+	eng.Run()
+
+	if got := st.Lane(1).Dispatched; got != 1 {
+		t.Fatalf("lane 1 dispatched %d, want only the routed event", got)
+	}
+	if got, want := st.Lane(0).Dispatched, eng.Fired()-1; got != want {
+		t.Fatalf("lane 0 dispatched %d, want %d", got, want)
+	}
+	if st.Posts() != 0 {
+		t.Fatalf("closure schedules counted as %d cross-lane posts", st.Posts())
 	}
 }
 
-// buildStatsModel assembles a 4-lane epoch model: each event's arg packs a
-// spawn generation in the high bits and a countdown value in the low 16 (the
-// lane is value%lanes). Lanes self-schedule down their countdown and, while
-// generations remain, periodically cross-post a fresh chain at the lookahead
-// horizon — bounded fan-out, so the model terminates quickly.
-func buildStatsModel() (*Sharded, *ShardStats) {
-	const lanes = 4
-	const lookahead = 100
-	sh := NewSharded(lanes, lookahead)
-	st := sh.EnableStats(0)
-	var k Kind
-	k = sh.Register(func(l *Lane, now Time, arg uint64) {
-		gen, val := arg>>16, arg&0xffff
-		if val < lanes {
-			return
+// TestShardStatsNeutralDispatch pins that attribution never changes the
+// dispatch sequence: the same model logs the same (time, arg) sequence with
+// stats on and off.
+func TestShardStatsNeutralDispatch(t *testing.T) {
+	run := func(stats bool) []uint64 {
+		var eng Engine
+		var st *ShardStats
+		if stats {
+			st = eng.EnableStats(4, 50)
 		}
-		l.AfterKind(7, k, gen<<16|(val-lanes))
-		if gen > 0 && val%(5*lanes) < lanes {
-			// A cross-lane post, legal because it lands a full window ahead.
-			l.AfterKind(lookahead, k, (gen-1)<<16|(val+1))
+		var log []uint64
+		rng := NewRand(99)
+		var k Kind
+		k = eng.Register(func(now Time, arg uint64) {
+			log = append(log, uint64(now)<<8|arg)
+			if len(log) < 4000 {
+				eng.AtKind(now+Time(1+rng.Intn(500)), k, arg)
+				if rng.Bool(0.3) {
+					eng.AtKind(now+Time(1+rng.Intn(500)), k, rng.Uint64()%64)
+				}
+			}
+		})
+		if st != nil {
+			st.Route(k, func(arg uint64) int { return int(arg % 4) })
 		}
-	}, func(arg uint64) int { return int(arg&0xffff) % lanes })
-	for i := uint64(0); i < lanes; i++ {
-		sh.AtKind(Time(i), k, 2<<16|(30*lanes+i))
-	}
-	return sh, st
-}
-
-// statsEpochModel runs the model in epoch mode at the given worker count and
-// returns its stats collector.
-func statsEpochModel(workers int) *ShardStats {
-	sh, st := buildStatsModel()
-	sh.RunEpochs(workers, 1<<40)
-	return st
-}
-
-// TestShardStatsEpochsDeterministicAcrossWorkers pins the concurrency split:
-// every virtual-time statistic of an epoch-mode run — including per-epoch
-// timeline records and barrier drain sizes — is identical at 1, 2, and 4
-// workers, because per-event hooks are lane-confined and all aggregation
-// happens single-threaded at the barrier.
-func TestShardStatsEpochsDeterministicAcrossWorkers(t *testing.T) {
-	base := statsSnapshot(statsEpochModel(1))
-	if !strings.Contains(base, "epochs=") || strings.Contains(base, "epochs=0 ") {
-		t.Fatalf("epoch model completed without epochs:\n%s", base)
-	}
-	for _, workers := range []int{2, 4} {
-		if got := statsSnapshot(statsEpochModel(workers)); got != base {
-			t.Fatalf("stats diverged at %d workers:\n--- workers=1\n%s\n--- workers=%d\n%s",
-				workers, base, workers, got)
+		for i := uint64(0); i < 8; i++ {
+			eng.AtKind(Time(i*7), k, i)
 		}
+		eng.RunUntil(2 * Millisecond)
+		return log
 	}
-	st := statsEpochModel(4)
-	if st.Posts() == 0 || st.MaxDrain() == 0 {
-		t.Fatalf("epoch model produced no cross-lane traffic (posts=%d maxdrain=%d)",
-			st.Posts(), st.MaxDrain())
-	}
-	var drains uint64
-	for i := 0; i < st.Windows(); i++ {
-		_, _, drained, _ := st.WindowAt(i)
-		drains += uint64(drained)
-	}
-	if drains != st.Posts() {
-		t.Fatalf("window drains sum to %d, want every post (%d)", drains, st.Posts())
+	if off, on := run(false), run(true); !reflect.DeepEqual(off, on) {
+		t.Fatalf("stats changed the dispatch sequence (%d vs %d events)", len(off), len(on))
 	}
 }
 
-// TestShardStatsWallClock checks the injected wall clock fills the wall
-// stall fields without touching any deterministic statistic.
-func TestShardStatsWallClock(t *testing.T) {
-	base := statsSnapshot(statsEpochModel(2))
-
-	sh, st := buildStatsModel()
-	var tick atomic.Int64
-	st.WallClock = func() int64 { return tick.Add(5) } // concurrent lane workers read it
-	sh.RunEpochs(2, 1<<40)
-
-	if got := statsSnapshot(st); got != base {
-		t.Fatalf("wall clock perturbed deterministic stats:\n--- without\n%s\n--- with\n%s", base, got)
-	}
-	var wall int64
-	for i := 0; i < st.Lanes(); i++ {
-		wall += st.Lane(i).BarrierStallWall
-	}
-	if wall == 0 {
-		t.Fatal("injected wall clock measured no barrier stalls")
-	}
-}
-
-// TestShardStatsNilSafe pins the disabled state: every public hook and
-// accessor tolerates a nil collector.
+// TestShardStatsNilSafe pins the disabled state: a nil collector reports no
+// lanes, and an engine without stats reports none.
 func TestShardStatsNilSafe(t *testing.T) {
 	var st *ShardStats
-	if st.On() || st.Lanes() != 0 {
+	if st.Lanes() != 0 {
 		t.Fatal("nil collector does not report disabled")
 	}
-	st.NoteDispatch(0, 1)
-	st.NoteLaneDispatch(0)
-	st.NoteCross(0, 1)
-	st.NoteBarrierStall(0, 5)
-}
-
-// BenchmarkShardStatsDisabled proves a stats-free engine pays one branch per
-// hook site: the guard is a nil check on the collector pointer, the same
-// discipline as the disabled obs tracer.
-func BenchmarkShardStatsDisabled(b *testing.B) {
-	var st *ShardStats
-	for i := 0; i < b.N; i++ {
-		if st != nil {
-			st.NoteDispatch(0, Time(i))
-		}
+	var eng Engine
+	if eng.Stats() != nil {
+		t.Fatal("zero engine reports a stats collector")
 	}
 }
