@@ -2,11 +2,11 @@ GO ?= go
 
 # Tier-1 verification plus formatting, the race detector, and benchmark
 # smoke runs. `make ci` is what a CI job should run.
-.PHONY: ci fmt-check vet lint build test race fault-smoke \
+.PHONY: ci fmt-check vet lint build test race fault-smoke fuzz-smoke \
 	bench-smoke obs-bench-smoke obs-shard-smoke serve-smoke \
 	serve-bench bench bench-json bench-json-smoke
 
-ci: fmt-check vet lint build race fault-smoke bench-smoke obs-bench-smoke obs-shard-smoke serve-smoke bench-json-smoke
+ci: fmt-check vet lint build race fault-smoke fuzz-smoke bench-smoke obs-bench-smoke obs-shard-smoke serve-smoke bench-json-smoke
 
 # gofmt -l prints nonconforming files; any output fails the target.
 fmt-check:
@@ -45,6 +45,11 @@ race:
 # intact. Cheap enough to run on every CI pass.
 fault-smoke:
 	$(GO) test -run 'TestChaos' -count=1 ./internal/core
+
+# Five seconds of native fuzzing on the binary miss-trace decoder, on top of
+# the committed seeds in internal/trace/testdata/fuzz/FuzzRead.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/trace
 
 # One cheap iteration of the trace-simulator benchmark proves the bench
 # harness still builds and runs end to end.

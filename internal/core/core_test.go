@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"ccnuma/internal/mem"
@@ -120,6 +121,30 @@ func TestSeedChangesRun(t *testing.T) {
 	}
 }
 
+// TestCollectTraceReservesNoBuffer keeps a duration-sized trace reservation
+// from coming back: a traced system costs at most one trace chunk (128 KiB)
+// more to build than an untraced one, however long the run.
+func TestCollectTraceReservesNoBuffer(t *testing.T) {
+	const oneChunk = 128 << 10
+	alloc := func(collect bool) uint64 {
+		spec := tinySpec(workload.SchedPinned, 60000)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sys, err := NewSystem(spec, Options{Seed: 1, Duration: sim.Second, CollectTrace: collect})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(sys)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	plain, traced := alloc(false), alloc(true)
+	if traced > plain+oneChunk {
+		t.Fatalf("NewSystem allocates %d bytes with CollectTrace, %d without: more than one chunk apart",
+			traced, plain)
+	}
+}
+
 func TestTraceCollection(t *testing.T) {
 	res, _ := Run(tinySpec(workload.SchedPinned, 60000), Options{Seed: 1, CollectTrace: true})
 	if res.Trace == nil || res.Trace.Len() == 0 {
@@ -127,18 +152,20 @@ func TestTraceCollection(t *testing.T) {
 	}
 	last := sim.Time(-1)
 	cache, tlbm := 0, 0
-	for _, r := range res.Trace.Records {
-		if r.At < last {
-			t.Fatal("trace not time-ordered")
-		}
-		last = r.At
-		if int(r.Page) >= 1000+res.Trace.MaxPage() {
-			t.Fatal("page out of range")
-		}
-		if r.Src == 0 {
-			cache++
-		} else {
-			tlbm++
+	for _, c := range res.Trace.Chunks() {
+		for _, r := range c {
+			if r.At < last {
+				t.Fatal("trace not time-ordered")
+			}
+			last = r.At
+			if int(r.Page) >= 1000+res.Trace.MaxPage() {
+				t.Fatal("page out of range")
+			}
+			if r.Src == 0 {
+				cache++
+			} else {
+				tlbm++
+			}
 		}
 	}
 	if cache == 0 || tlbm == 0 {

@@ -213,10 +213,7 @@ func NewSystem(spec *workload.Spec, opt Options) (*System, error) {
 		}
 	}
 	if opt.CollectTrace {
-		// Size the record buffer for the run's step budget (duration worth of
-		// steps across all CPUs, of which roughly one in sixteen produces a
-		// record) so the trace does not re-grow throughout the run.
-		s.tracer = trace.WithCapacity(traceCapacity(opt.Duration, cfg))
+		s.tracer = &trace.Trace{}
 	}
 	s.registerKinds()
 	s.wireObservability()
@@ -248,22 +245,6 @@ func (s *System) wireKernelRegions() {
 			s.vmm.Wire(r.Page(i), node)
 		}
 	}
-}
-
-// traceCapacity estimates the miss-trace record volume for a run of the
-// given duration: the machine's total step budget, of which roughly one in
-// sixteen references produces a TLB- or cache-miss record. Only a capacity
-// hint — the trace grows past it if the estimate is low.
-func traceCapacity(d sim.Time, cfg topology.Config) int {
-	steps := int64(d) / int64(cfg.CycleTime*cyclesPerStep) * int64(cfg.TotalCPUs())
-	est := int(steps / 16)
-	if est < 1024 {
-		est = 1024
-	}
-	if est > 1<<22 {
-		est = 1 << 22
-	}
-	return est
 }
 
 // wakeProc is the typed wake-after-block event: make the process runnable

@@ -421,11 +421,13 @@ func figure7(h *Harness) string {
 	row(&b, cells...)
 	instr := 0
 	total := 0
-	for _, r := range tr.Records {
-		if r.Src == trace.CacheMiss {
-			total++
-			if r.Kind.IsInstr() {
-				instr++
+	for _, c := range tr.Chunks() {
+		for _, r := range c {
+			if r.Src == trace.CacheMiss {
+				total++
+				if r.Kind.IsInstr() {
+					instr++
+				}
 			}
 		}
 	}

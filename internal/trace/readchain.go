@@ -45,21 +45,23 @@ func ReadChains(t *Trace, thresholds []int) ChainAnalysis {
 		}
 	}
 
-	for _, r := range t.Records {
-		if r.Src != CacheMiss || r.Kind.IsInstr() {
-			continue
-		}
-		if r.Kind.IsWrite() {
-			// A write from any processor terminates every open chain on the
-			// page.
-			for k := range open {
-				if k.page == r.Page {
-					closeChain(k)
-				}
+	for _, c := range t.Chunks() {
+		for _, r := range c {
+			if r.Src != CacheMiss || r.Kind.IsInstr() {
+				continue
 			}
-			continue
+			if r.Kind.IsWrite() {
+				// A write from any processor terminates every open chain on the
+				// page.
+				for k := range open {
+					if k.page == r.Page {
+						closeChain(k)
+					}
+				}
+				continue
+			}
+			open[key{r.Page, r.CPU}]++
 		}
-		open[key{r.Page, r.CPU}]++
 	}
 	for k := range open {
 		closeChain(k)

@@ -37,24 +37,26 @@ type PageCount struct {
 func Summarize(t *Trace, top int) Summary {
 	s := Summary{Records: t.Len(), PerCPU: map[mem.CPUID]uint64{}}
 	perPage := map[mem.GPage]uint64{}
-	for _, r := range t.Records {
-		if r.Src == TLBMiss {
-			s.TLBMisses++
-			continue
-		}
-		s.CacheMisses++
-		s.PerCPU[r.CPU]++
-		perPage[r.Page]++
-		switch r.Kind {
-		case mem.DataWrite:
-			s.Writes++
-		case mem.InstrFetch:
-			s.IFetches++
-		default:
-			s.Reads++
-		}
-		if r.Kernel {
-			s.KernelMisses++
+	for _, c := range t.Chunks() {
+		for _, r := range c {
+			if r.Src == TLBMiss {
+				s.TLBMisses++
+				continue
+			}
+			s.CacheMisses++
+			s.PerCPU[r.CPU]++
+			perPage[r.Page]++
+			switch r.Kind {
+			case mem.DataWrite:
+				s.Writes++
+			case mem.InstrFetch:
+				s.IFetches++
+			default:
+				s.Reads++
+			}
+			if r.Kernel {
+				s.KernelMisses++
+			}
 		}
 	}
 	s.Pages = len(perPage)

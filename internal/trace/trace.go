@@ -26,55 +26,87 @@ const (
 	TLBMiss
 )
 
-// Record is one miss event.
+// Record is one miss event. CPU sits next to At so the record packs into
+// 24 bytes.
 type Record struct {
 	At     sim.Time
-	Page   mem.GPage
 	CPU    mem.CPUID
+	Page   mem.GPage
 	Kind   mem.AccessKind
 	Kernel bool
 	Src    Source
 }
 
-// Trace is an in-memory miss trace, ordered by time.
+// A trace stores its records in fixed-size chunks (4096 records, 96 KiB), so
+// its memory follows the records it holds and an appended record is never
+// copied or re-grown.
+const (
+	chunkShift = 12
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+)
+
+// Trace is an in-memory miss trace, ordered by time. The zero value is an
+// empty trace.
 type Trace struct {
-	Records []Record
+	// chunks holds the records in order; every chunk but the last is full.
+	chunks [][]Record
+	n      int
 }
 
-// WithCapacity returns an empty trace whose record buffer holds n records
-// before growing. Callers that can bound the expected record volume (the
-// machine simulator knows its step budget) avoid repeated re-allocation of a
-// multi-megabyte buffer during the run.
-func WithCapacity(n int) *Trace {
-	if n < 0 {
-		n = 0
+// FromRecords returns a trace holding a copy of rs, in order.
+func FromRecords(rs []Record) *Trace {
+	t := &Trace{}
+	for _, r := range rs {
+		t.Append(r)
 	}
-	return &Trace{Records: make([]Record, 0, n)}
+	return t
 }
 
-// Append adds a record. It rides the simulator's miss path, so the record
-// buffer is preallocated by run scale (WithCapacity) and reused in place.
+// Append adds a record. It rides the simulator's miss path: a new chunk is
+// allocated only when the current one is full.
 //
 //numalint:hotpath
-func (t *Trace) Append(r Record) { t.Records = append(t.Records, r) }
-
-// Sort orders the records by time (stable). The machine simulator emits
-// records per-CPU in slices, so cross-CPU ordering needs one final sort.
-func (t *Trace) Sort() {
-	sort.SliceStable(t.Records, func(i, j int) bool {
-		return t.Records[i].At < t.Records[j].At
-	})
+func (t *Trace) Append(r Record) {
+	if t.n&chunkMask == 0 {
+		t.addChunk()
+	}
+	last := len(t.chunks) - 1
+	t.chunks[last] = append(t.chunks[last], r)
+	t.n++
 }
 
+func (t *Trace) addChunk() { t.chunks = append(t.chunks, make([]Record, 0, chunkLen)) }
+
+// Chunks returns the records in order as consecutive slices, for iteration
+// with two nested range loops. The slices alias the trace; callers must not
+// modify them.
+func (t *Trace) Chunks() [][]Record { return t.chunks }
+
+// byAt indexes a trace's records across chunk boundaries for sort.Stable.
+type byAt Trace
+
+func (s *byAt) Len() int           { return s.n }
+func (s *byAt) rec(i int) *Record  { return &s.chunks[i>>chunkShift][i&chunkMask] }
+func (s *byAt) Less(i, j int) bool { return s.rec(i).At < s.rec(j).At }
+func (s *byAt) Swap(i, j int)      { a, b := s.rec(i), s.rec(j); *a, *b = *b, *a }
+
+// Sort orders the records by time (stable), in place. The machine simulator
+// emits records per-CPU in slices, so cross-CPU ordering needs one final
+// sort.
+func (t *Trace) Sort() { sort.Stable((*byAt)(t)) }
+
 // Len returns the record count.
-func (t *Trace) Len() int { return len(t.Records) }
+func (t *Trace) Len() int { return t.n }
 
 // Filter returns the records matching keep, preserving order.
 func (t *Trace) Filter(keep func(Record) bool) *Trace {
 	out := &Trace{}
-	for _, r := range t.Records {
-		if keep(r) {
-			out.Append(r)
+	for _, c := range t.chunks {
+		for _, r := range c {
+			if keep(r) {
+				out.Append(r)
+			}
 		}
 	}
 	return out
@@ -102,22 +134,25 @@ func (t *Trace) UserOnly() *Trace {
 
 // Duration returns the time of the last record (traces start at 0).
 func (t *Trace) Duration() sim.Time {
-	if len(t.Records) == 0 {
+	if t.n == 0 {
 		return 0
 	}
-	return t.Records[len(t.Records)-1].At
+	last := t.chunks[len(t.chunks)-1]
+	return last[len(last)-1].At
 }
 
 // MaxPage returns the highest page id referenced plus one (a table size).
 func (t *Trace) MaxPage() int {
-	max := mem.GPage(0)
-	for _, r := range t.Records {
-		if r.Page > max {
-			max = r.Page
-		}
-	}
-	if len(t.Records) == 0 {
+	if t.n == 0 {
 		return 0
+	}
+	max := mem.GPage(0)
+	for _, c := range t.chunks {
+		for _, r := range c {
+			if r.Page > max {
+				max = r.Page
+			}
+		}
 	}
 	return int(max) + 1
 }
@@ -154,14 +189,29 @@ func decode(buf []byte) Record {
 	return r
 }
 
-// Write encodes the trace to w in the 16-byte binary record format.
+// maxCPU is the largest CPU id the format's one-byte CPU field holds.
+const maxCPU = 255
+
+// Write encodes the trace to w in the 16-byte binary record format. A
+// record whose CPU does not fit the one-byte field is an error, reported
+// before anything is written.
 func (t *Trace) Write(w io.Writer) error {
+	for ci, c := range t.chunks {
+		for i, r := range c {
+			if r.CPU < 0 || r.CPU > maxCPU {
+				return fmt.Errorf("trace: record %d: cpu %d outside the format's 0-%d",
+					ci*chunkLen+i, r.CPU, maxCPU)
+			}
+		}
+	}
 	bw := bufio.NewWriter(w)
 	var buf [recordSize]byte
-	for _, r := range t.Records {
-		encode(buf[:], r)
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
+	for _, c := range t.chunks {
+		for _, r := range c {
+			encode(buf[:], r)
+			if _, err := bw.Write(buf[:]); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()

@@ -2,9 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ccnuma/internal/mem"
 	"ccnuma/internal/sim"
@@ -58,8 +62,109 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Records, tr.Records) {
+	if !reflect.DeepEqual(got, tr) {
 		t.Fatal("round trip mismatch")
+	}
+}
+
+// flat copies the trace's records into one slice, in order.
+func flat(t *Trace) []Record {
+	var out []Record
+	for _, c := range t.Chunks() {
+		out = append(out, c...)
+	}
+	return out
+}
+
+func TestRecordIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n != 24 {
+		t.Fatalf("sizeof(Record) = %d, want 24", n)
+	}
+}
+
+// TestChunkBoundaries drives every whole-trace operation across chunk
+// boundaries: 2 chunks + 1 record, with timestamps shuffled inside a small
+// window so Sort must move records between chunks and keep equal times in
+// append order.
+func TestChunkBoundaries(t *testing.T) {
+	const n = 2*chunkLen + 1
+	rng := sim.NewRand(7)
+	want := make([]Record, n)
+	tr := &Trace{}
+	for i := range want {
+		want[i] = Record{
+			At:   sim.Time(i/4 + rng.Intn(64)),
+			CPU:  mem.CPUID(rng.Intn(256)),
+			Page: mem.GPage(i),
+			Kind: mem.AccessKind(rng.Intn(3)),
+			Src:  Source(rng.Intn(2)),
+		}
+		tr.Append(want[i])
+	}
+	if tr.Len() != n || len(tr.Chunks()) != 3 {
+		t.Fatalf("len %d in %d chunks, want %d in 3", tr.Len(), len(tr.Chunks()), n)
+	}
+	tr.Sort()
+	slices.SortStableFunc(want, func(a, b Record) int { return cmp.Compare(a.At, b.At) })
+	if !slices.Equal(flat(tr), want) {
+		t.Fatal("chunked Sort differs from a flat stable sort")
+	}
+
+	keep := func(r Record) bool { return r.Page%3 == 0 }
+	var kept []Record
+	for _, r := range want {
+		if keep(r) {
+			kept = append(kept, r)
+		}
+	}
+	if !slices.Equal(flat(tr.Filter(keep)), kept) {
+		t.Fatal("Filter differs across chunk boundaries")
+	}
+	if tr.Duration() != want[n-1].At {
+		t.Fatalf("Duration = %v, want %v", tr.Duration(), want[n-1].At)
+	}
+	if tr.MaxPage() != n {
+		t.Fatalf("MaxPage = %d, want %d", tr.MaxPage(), n)
+	}
+
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(flat(got), want) {
+		t.Fatal("Write/Read round trip differs across chunk boundaries")
+	}
+}
+
+func TestFromRecordsCopies(t *testing.T) {
+	rs := []Record{{At: 1, Page: 2}, {At: 3, Page: 4}}
+	tr := FromRecords(rs)
+	rs[0].Page = 9
+	if got := flat(tr); len(got) != 2 || got[0].Page != 2 || got[1].Page != 4 {
+		t.Fatalf("FromRecords = %+v", got)
+	}
+}
+
+// TestWriteRejectsWideCPU: the format stores the CPU in one byte, so a CPU
+// outside 0-255 is an error naming the record, and nothing is written.
+func TestWriteRejectsWideCPU(t *testing.T) {
+	for _, cpu := range []mem.CPUID{300, -1} {
+		tr := FromRecords([]Record{{CPU: 3}, {CPU: 255}, {CPU: cpu}, {CPU: 400}})
+		var buf bytes.Buffer
+		err := tr.Write(&buf)
+		if err == nil {
+			t.Fatalf("cpu %d: Write accepted it", cpu)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "record 2") {
+			t.Fatalf("cpu %d: error %q does not name record 2", cpu, msg)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("cpu %d: %d bytes written before the error", cpu, buf.Len())
+		}
 	}
 }
 

@@ -202,14 +202,16 @@ func Simulate(tr *trace.Trace, cfg Config, kind PolicyKind) Outcome {
 	// Post-facto: place each page on the node with the most cache misses.
 	if kind == PF {
 		counts := make([][]uint32, pages)
-		for _, r := range tr.Records {
-			if r.Src != trace.CacheMiss {
-				continue
+		for _, c := range tr.Chunks() {
+			for _, r := range c {
+				if r.Src != trace.CacheMiss {
+					continue
+				}
+				if counts[r.Page] == nil {
+					counts[r.Page] = make([]uint32, cfg.Nodes)
+				}
+				counts[r.Page][int(r.CPU)%cfg.Nodes]++
 			}
-			if counts[r.Page] == nil {
-				counts[r.Page] = make([]uint32, cfg.Nodes)
-			}
-			counts[r.Page][int(r.CPU)%cfg.Nodes]++
 		}
 		for p := range counts {
 			if counts[p] == nil {
@@ -248,62 +250,64 @@ func Simulate(tr *trace.Trace, cfg Config, kind PolicyKind) Outcome {
 	}
 	nextReset := params.ResetInterval
 
-	for _, rec := range tr.Records {
-		node := mem.NodeID(int(rec.CPU) % cfg.Nodes)
-		p := &st[rec.Page]
+	for _, c := range tr.Chunks() {
+		for _, rec := range c {
+			node := mem.NodeID(int(rec.CPU) % cfg.Nodes)
+			p := &st[rec.Page]
 
-		if counters != nil {
-			for rec.At >= nextReset {
-				counters.Reset()
-				for i := range st {
-					st[i].migCount = 0
+			if counters != nil {
+				for rec.At >= nextReset {
+					counters.Reset()
+					for i := range st {
+						st[i].migCount = 0
+					}
+					nextReset += params.ResetInterval
 				}
-				nextReset += params.ResetInterval
 			}
-		}
 
-		// Placement on first touch (RR is computed, FT observed, PF preset).
-		if !p.placed {
-			switch kind {
-			case RR:
-				p.home = mem.NodeID(int(rec.Page) % cfg.Nodes)
-			default:
-				p.home = node
+			// Placement on first touch (RR is computed, FT observed, PF preset).
+			if !p.placed {
+				switch kind {
+				case RR:
+					p.home = mem.NodeID(int(rec.Page) % cfg.Nodes)
+				default:
+					p.home = node
+				}
+				p.placed = true
 			}
-			p.placed = true
-		}
 
-		if rec.Src == trace.CacheMiss {
-			if p.hasCopy(node) {
-				out.LocalMisses++
-				out.StallLocal += cfg.LocalLatency
-			} else {
-				out.RemoteMisses++
-				out.StallRemote += cfg.RemoteLatency
+			if rec.Src == trace.CacheMiss {
+				if p.hasCopy(node) {
+					out.LocalMisses++
+					out.StallLocal += cfg.LocalLatency
+				} else {
+					out.RemoteMisses++
+					out.StallRemote += cfg.RemoteLatency
+				}
+				// A write to a replicated page collapses it to the writer's
+				// nearest copy (the pfault path), under every dynamic policy.
+				if rec.Kind.IsWrite() && p.replicas != 0 && kind.Dynamic() {
+					p.home = nearestHome(p, node)
+					p.replicas = 0
+					out.Collapses++
+					out.Overhead += cfg.MoveCost
+				}
 			}
-			// A write to a replicated page collapses it to the writer's
-			// nearest copy (the pfault path), under every dynamic policy.
-			if rec.Kind.IsWrite() && p.replicas != 0 && kind.Dynamic() {
-				p.home = nearestHome(p, node)
-				p.replicas = 0
-				out.Collapses++
-				out.Overhead += cfg.MoveCost
-			}
-		}
 
-		if counters == nil {
-			continue
+			if counters == nil {
+				continue
+			}
+			feed := (cfg.Metric.CacheDriven() && rec.Src == trace.CacheMiss) ||
+				(!cfg.Metric.CacheDriven() && rec.Src == trace.TLBMiss)
+			if !feed {
+				continue
+			}
+			counters.Record(rec.Page, mem.CPUID(int(rec.CPU)%cfg.Nodes), rec.Kind.IsWrite(), !p.hasCopy(node))
+			for _, h := range pending {
+				applyAction(&out, cfg, params, counters, &st[h.Page], h)
+			}
+			pending = pending[:0]
 		}
-		feed := (cfg.Metric.CacheDriven() && rec.Src == trace.CacheMiss) ||
-			(!cfg.Metric.CacheDriven() && rec.Src == trace.TLBMiss)
-		if !feed {
-			continue
-		}
-		counters.Record(rec.Page, mem.CPUID(int(rec.CPU)%cfg.Nodes), rec.Kind.IsWrite(), !p.hasCopy(node))
-		for _, h := range pending {
-			applyAction(&out, cfg, params, counters, &st[h.Page], h)
-		}
-		pending = pending[:0]
 	}
 	if counters != nil {
 		out.HotPages = counters.Stats().Hot

@@ -193,8 +193,13 @@ func TestResetIntervalUnfreezes(t *testing.T) {
 }
 
 func TestTLBMetricIgnoresCacheRecords(t *testing.T) {
-	tr := hotTrace(1, 1, 300) // cache misses only
-	tr.Records = append([]trace.Record{rec(0, 0, 1, mem.DataRead)}, tr.Records...)
+	// Cache misses only: cpu0 first-touches the page, then cpu1 misses 300
+	// times.
+	recs := []trace.Record{rec(0, 0, 1, mem.DataRead)}
+	for i := 0; i < 300; i++ {
+		recs = append(recs, rec(i*1000, 1, 1, mem.DataRead))
+	}
+	tr := trace.FromRecords(recs)
 	c := cfg4()
 	c.Metric = FullTLB
 	out := Simulate(tr, c, MigRep)
