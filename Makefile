@@ -2,11 +2,11 @@ GO ?= go
 
 # Tier-1 verification plus formatting, the race detector, and benchmark
 # smoke runs. `make ci` is what a CI job should run.
-.PHONY: ci fmt-check vet lint build test race fault-smoke fuzz-smoke \
+.PHONY: ci fmt-check vet lint build perfbench-build test race fault-smoke fuzz-smoke \
 	bench-smoke obs-bench-smoke obs-shard-smoke serve-smoke \
 	serve-bench bench bench-json bench-json-smoke
 
-ci: fmt-check vet lint build race fault-smoke fuzz-smoke bench-smoke obs-bench-smoke obs-shard-smoke serve-smoke bench-json-smoke
+ci: fmt-check vet lint build perfbench-build race fault-smoke fuzz-smoke bench-smoke obs-bench-smoke obs-shard-smoke serve-smoke bench-json-smoke
 
 # gofmt -l prints nonconforming files; any output fails the target.
 fmt-check:
@@ -24,6 +24,12 @@ lint:
 
 build:
 	$(GO) build ./...
+
+# perfbench is its own Go module, so the root `go build ./...` never compiles
+# it; vet and build it against the current source of the packages it calls
+# (the binary is discarded).
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 test:
 	$(GO) test ./...
@@ -46,10 +52,12 @@ race:
 fault-smoke:
 	$(GO) test -run 'TestChaos' -count=1 ./internal/core
 
-# Five seconds of native fuzzing on the binary miss-trace decoder, on top of
-# the committed seeds in internal/trace/testdata/fuzz/FuzzRead.
+# Five seconds of native fuzzing each on the binary miss-trace decoder and
+# on the numasimd request path (strict decode, then Build), on top of the
+# committed seeds under each package's testdata/fuzz directory.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 5s ./internal/serve
 
 # One cheap iteration of the trace-simulator benchmark proves the bench
 # harness still builds and runs end to end.

@@ -25,7 +25,6 @@ type Cache struct {
 	pow2    bool
 	ways    []entry // sets*assoc, way 0 of a set is most recently used
 	val     *Validity
-	name    string
 	hits    uint64
 	misses  uint64
 	stalees uint64 // misses caused by a stale (invalidated) copy
@@ -39,8 +38,7 @@ func New(name string, sizeBytes, assoc int, val *Validity) *Cache {
 		panic(fmt.Sprintf("cache %s: bad geometry size=%d assoc=%d", name, sizeBytes, assoc))
 	}
 	sets := lines / assoc
-	c := &Cache{sets: sets, assoc: assoc, val: val, name: name,
-		ways: make([]entry, lines)}
+	c := &Cache{sets: sets, assoc: assoc, val: val, ways: make([]entry, lines)}
 	// Every realistic geometry has a power-of-two set count; indexing by
 	// mask instead of modulo keeps an idiv out of every access.
 	if sets&(sets-1) == 0 {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -204,6 +205,18 @@ func TestCacheBadGeometryPanics(t *testing.T) {
 		}
 	}()
 	New("bad", 3*mem.LineSize, 2, NewValidity(1, 1))
+}
+
+// TestHierarchyBadGeometryNamesCPU pins the geometry panic's cache name: it
+// carries the full CPU number, so CPU 12's caches are not reported as CPU 2's.
+func TestHierarchyBadGeometryNamesCPU(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "l1i#12:") {
+			t.Fatalf("geometry panic %q does not name l1i#12", msg)
+		}
+	}()
+	NewHierarchy(12, 3*mem.LineSize, 2, 8192, 2, NewValidity(1, 1))
 }
 
 func TestHierarchyLevels(t *testing.T) {

@@ -1,6 +1,10 @@
 package cache
 
-import "ccnuma/internal/mem"
+import (
+	"strconv"
+
+	"ccnuma/internal/mem"
+)
 
 // Level is where a reference was satisfied.
 type Level int
@@ -44,7 +48,7 @@ func NewHierarchy(cpu int, l1Size, l1Assoc, l2Size, l2Assoc int, val *Validity) 
 }
 
 func name(cpu int, level string) string {
-	return level + "#" + string(rune('0'+cpu%10))
+	return level + "#" + strconv.Itoa(cpu)
 }
 
 // Access runs one reference through the hierarchy, updating cache state

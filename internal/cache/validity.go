@@ -24,138 +24,76 @@ import (
 	"ccnuma/internal/mem"
 )
 
-// Validity holds the stamps cache entries are checked against. Like the
-// directory state it stands in for, it is sharded by home node: a page's
-// stamps live with the node holding its master copy, mirroring FLASH's
-// per-node directory controllers, and the kernel rehomes them when a
-// migration or collapse moves the master. One Validity instance is shared by
-// every cache in the machine, but any single page's stamps are owned by
-// exactly one node.
+// Validity holds the machine-wide stamps that cache entries are checked
+// against: one line-version table indexed by mem.GLine and one page-epoch
+// table indexed by mem.GPage. One Validity instance is shared by every cache
+// in the machine.
 //
 // A page starts unhomed (no node has ever held it) and is homed by Assign on
-// first residence. Releasing a page does NOT unhome it: the stamps park on
-// the last home, because cached entries carrying the old version/epoch pairs
-// may outlive the residence, and resetting the stamps would let such a stale
-// entry re-validate against a fresh zero epoch. Rehoming copies the stamps
-// verbatim for the same reason.
+// first residence. Stamps never reset: releasing a page does NOT unhome it,
+// and a later residence on another node keeps them, because cached entries
+// carrying the old version/epoch pairs may outlive the residence, and
+// resetting the stamps would let such a stale entry re-validate against a
+// fresh zero epoch.
 type Validity struct {
-	// home[p] is the shard (home node) holding page p's stamps, -1 while the
-	// page has never been resident. slot[p] is the page's slot in that
-	// shard's tables.
+	lineVersion []uint32 // indexed by mem.GLine
+	pageEpoch   []uint32 // indexed by mem.GPage
+	// home[p] is the node that last held page p's master copy, -1 while the
+	// page has never been resident.
 	home []int32
-	slot []int32
-
-	shards []validityShard
 }
 
-// validityShard is one home node's stamp tables, indexed by slot.
-type validityShard struct {
-	lineVersion []uint32 // mem.LinesPerPage entries per slot
-	pageEpoch   []uint32
-	free        []int32 // recycled slots (LIFO, deterministic)
-}
-
-// NewValidity sizes the stamp tables for a machine of nodes homes covering
-// pages logical pages. A single-node machine has nowhere to rehome to, so
-// every page is pre-homed on node 0 — the degenerate machine-wide filter,
-// byte-compatible with the unsharded structure this replaces.
+// NewValidity sizes the stamp tables for a machine of nodes nodes covering
+// pages logical pages. A single-node machine has only one place a page can
+// live, so every page starts homed on node 0 and can be bumped without an
+// Assign.
 func NewValidity(pages, nodes int) *Validity {
-	if nodes < 1 {
-		nodes = 1
-	}
 	v := &Validity{
-		home:   make([]int32, pages),
-		slot:   make([]int32, pages),
-		shards: make([]validityShard, nodes),
+		lineVersion: make([]uint32, pages*mem.LinesPerPage),
+		pageEpoch:   make([]uint32, pages),
+		home:        make([]int32, pages),
 	}
-	if nodes == 1 {
-		sh := &v.shards[0]
-		sh.lineVersion = make([]uint32, pages*mem.LinesPerPage)
-		sh.pageEpoch = make([]uint32, pages)
-		for p := range v.slot {
-			v.slot[p] = int32(p)
+	if nodes > 1 {
+		for p := range v.home {
+			v.home[p] = -1
 		}
-		return v
-	}
-	for p := range v.home {
-		v.home[p] = -1
 	}
 	return v
 }
 
 // Pages returns the number of logical pages the tables cover.
-func (v *Validity) Pages() int { return len(v.home) }
+func (v *Validity) Pages() int { return len(v.pageEpoch) }
 
-// Home returns the node currently holding page p's stamps, -1 while the
+// Home returns the node that last held page p's master copy, -1 while the
 // page has never been resident.
 func (v *Validity) Home(p mem.GPage) int { return int(v.home[p]) }
 
-// Assign homes page p's stamps on node (modulo the shard count), rehoming —
-// copying every stamp verbatim — if another node held them. The kernel
-// calls it wherever the master copy's node is decided: first touch, wiring,
-// migration, and a collapse that keeps a replica's frame.
+// Assign records that page p's master copy lives on node. The kernel calls
+// it wherever the master copy's node is decided: first touch, wiring,
+// migration, and a collapse that keeps a replica's frame. The stamps
+// themselves are machine-wide and do not move.
 func (v *Validity) Assign(p mem.GPage, node mem.NodeID) {
-	dst := int32(int(node) % len(v.shards))
-	if v.home[p] == dst {
-		return
-	}
-	sh := &v.shards[dst]
-	var s int32
-	if n := len(sh.free); n > 0 {
-		s = sh.free[n-1]
-		sh.free = sh.free[:n-1]
-	} else {
-		s = int32(len(sh.pageEpoch))
-		sh.pageEpoch = append(sh.pageEpoch, 0)
-		sh.lineVersion = append(sh.lineVersion, make([]uint32, mem.LinesPerPage)...)
-	}
-	lines := sh.lineVersion[int(s)*mem.LinesPerPage:]
-	if old := v.home[p]; old >= 0 {
-		osh := &v.shards[old]
-		os := v.slot[p]
-		sh.pageEpoch[s] = osh.pageEpoch[os]
-		copy(lines[:mem.LinesPerPage], osh.lineVersion[int(os)*mem.LinesPerPage:])
-		osh.free = append(osh.free, os)
-	} else {
-		sh.pageEpoch[s] = 0
-		for i := 0; i < mem.LinesPerPage; i++ {
-			lines[i] = 0
-		}
-	}
-	v.home[p] = dst
-	v.slot[p] = s
+	v.home[p] = int32(node)
 }
 
 // LineVersion returns the current version of a line. Lines of a
 // never-resident page were never written, so they read as version zero.
 //
 //numalint:hotpath
-func (v *Validity) LineVersion(l mem.GLine) uint32 {
-	p := l.Page()
-	h := v.home[p]
-	if h < 0 {
-		return 0
-	}
-	sh := &v.shards[h]
-	return sh.lineVersion[int(v.slot[p])*mem.LinesPerPage+int(l)%mem.LinesPerPage]
-}
+func (v *Validity) LineVersion(l mem.GLine) uint32 { return v.lineVersion[l] }
 
 // BumpLine registers a write to the line and returns the new version. Every
 // cached copy with an older version becomes stale. Writing a line of an
 // unhomed page is a kernel bug — a write implies residence implies a home —
-// and panics rather than silently minting stamps nobody owns.
+// and panics rather than silently minting stamps for a page nobody holds.
 //
 //numalint:hotpath
 func (v *Validity) BumpLine(l mem.GLine) uint32 {
-	p := l.Page()
-	h := v.home[p]
-	if h < 0 {
+	if v.home[l.Page()] < 0 {
 		unhomedWrite(l)
 	}
-	sh := &v.shards[h]
-	i := int(v.slot[p])*mem.LinesPerPage + int(l)%mem.LinesPerPage
-	sh.lineVersion[i]++
-	return sh.lineVersion[i]
+	v.lineVersion[l]++
+	return v.lineVersion[l]
 }
 
 // unhomedWrite reports a write to a line of a never-resident page — a kernel
@@ -169,20 +107,14 @@ func unhomedWrite(l mem.GLine) {
 // page has never been resident).
 //
 //numalint:hotpath
-func (v *Validity) PageEpoch(p mem.GPage) uint32 {
-	h := v.home[p]
-	if h < 0 {
-		return 0
-	}
-	return v.shards[h].pageEpoch[v.slot[p]]
-}
+func (v *Validity) PageEpoch(p mem.GPage) uint32 { return v.pageEpoch[p] }
 
 // BumpPage registers a migration, collapse, or release of the page,
 // invalidating all cached lines of the page machine-wide. Releasing a page
 // that was never resident has nothing cached to invalidate, so an unhomed
 // bump is a no-op.
 func (v *Validity) BumpPage(p mem.GPage) {
-	if h := v.home[p]; h >= 0 {
-		v.shards[h].pageEpoch[v.slot[p]]++
+	if v.home[p] >= 0 {
+		v.pageEpoch[p]++
 	}
 }

@@ -33,7 +33,6 @@ func TestFingerprintDistinguishesEveryOptionField(t *testing.T) {
 		"code-ft":        func(o *Options) { o.ReplicateCodeOnFirstTouch = true },
 		"adaptive":       func(o *Options) { o.AdaptiveTrigger = true },
 		"reclaim":        func(o *Options) { o.ReclaimColdReplicas = true },
-		"closure-events": func(o *Options) { o.ClosureEvents = true },
 		"fault-seed":     func(o *Options) { o.Faults.Seed = 7 },
 		"fault-drain":    func(o *Options) { o.Faults.DrainNode = 2; o.Faults.DrainAt = sim.Millisecond },
 		"fault-drop":     func(o *Options) { o.Faults.DropBatch = 0.1 },

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -91,6 +92,21 @@ func TestObservabilityMigrationEvents(t *testing.T) {
 	}
 }
 
+// writeResultSummary renders the run's aggregate outcome — progress, event
+// count, VM and policy activity, counter stats, locality, and the machine-wide
+// breakdown — so the golden pins the statistics as well as the event stream.
+func writeResultSummary(b *bytes.Buffer, res *Result) {
+	fmt.Fprintf(b, "elapsed %d\n", int64(res.Elapsed))
+	fmt.Fprintf(b, "steps %d\n", res.Steps)
+	fmt.Fprintf(b, "events %d\n", res.Events)
+	fmt.Fprintf(b, "vm %+v\n", res.VM)
+	fmt.Fprintf(b, "actions %+v\n", res.Actions)
+	fmt.Fprintf(b, "counters %+v\n", res.Counters)
+	fmt.Fprintf(b, "local-miss-fraction %v\n", res.LocalMissFraction)
+	fmt.Fprintf(b, "sched-migrations %d\n", res.SchedMigrations)
+	fmt.Fprintf(b, "agg %s\n", res.Agg.Summary())
+}
+
 func TestObservabilityGolden(t *testing.T) {
 	res := obsRun(t)
 	exports := []struct {
@@ -100,6 +116,7 @@ func TestObservabilityGolden(t *testing.T) {
 		{"tiny_events.jsonl", func(b *bytes.Buffer) error { return res.ObsEvents.WriteJSONL(b) }},
 		{"tiny_events.trace.json", func(b *bytes.Buffer) error { return res.ObsEvents.WriteChromeTrace(b) }},
 		{"tiny_series.csv", func(b *bytes.Buffer) error { return res.Series.WriteCSV(b) }},
+		{"tiny_result.txt", func(b *bytes.Buffer) error { writeResultSummary(b, res); return nil }},
 	}
 	for _, ex := range exports {
 		var buf bytes.Buffer

@@ -112,13 +112,6 @@ type Options struct {
 	// ReclaimColdReplicas enables cold-replica reclamation each interval,
 	// bounding replication's space overhead.
 	ReclaimColdReplicas bool
-	// ClosureEvents schedules the hot per-CPU step and wake events through
-	// the engine's original closure API instead of the allocation-free typed
-	// path. The two paths are behaviourally identical (asserted by the
-	// determinism guard test); this switch exists for that A/B comparison
-	// and for bisecting event-path regressions, at the cost of one closure
-	// allocation per event.
-	ClosureEvents bool
 	// Faults configures the deterministic fault injector (internal/fault).
 	// The zero value disables it entirely: no injector is built and the run
 	// is byte-identical to one on a build without the fault layer.

@@ -12,11 +12,9 @@ import (
 // that faults in the working set and grows every buffer to capacity, the
 // remaining steady state is exactly the per-reference hot path the tentpole
 // makes allocation-free.
-func hotPathSystem(tb testing.TB, closure bool) *System {
+func hotPathSystem(tb testing.TB) *System {
 	tb.Helper()
-	sys, err := NewSystem(tinySpec(workload.SchedPinned, 1<<62), Options{
-		Seed: 1, ClosureEvents: closure,
-	})
+	sys, err := NewSystem(tinySpec(workload.SchedPinned, 1<<62), Options{Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -33,7 +31,7 @@ func hotPathSystem(tb testing.TB, closure bool) *System {
 // dispatching step events allocates nothing — no closures per schedule, no
 // per-access garbage anywhere under step.
 func TestStepHotPathZeroAllocs(t *testing.T) {
-	sys := hotPathSystem(t, false)
+	sys := hotPathSystem(t)
 	avg := testing.AllocsPerRun(50, func() {
 		for i := 0; i < 2000; i++ {
 			sys.eng.Step()
@@ -45,20 +43,12 @@ func TestStepHotPathZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkStepHotPath measures one step-event dispatch (scheduling, TLB,
-// caches, memory system, counters) on both event paths; allocs/op is the
-// headline number.
+// caches, memory system, counters); allocs/op is the headline number.
 func BenchmarkStepHotPath(b *testing.B) {
-	for _, m := range []struct {
-		name    string
-		closure bool
-	}{{"typed", false}, {"closure", true}} {
-		b.Run(m.name, func(b *testing.B) {
-			sys := hotPathSystem(b, m.closure)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys.eng.Step()
-			}
-		})
+	sys := hotPathSystem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.eng.Step()
 	}
 }

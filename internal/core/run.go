@@ -25,16 +25,10 @@ const cyclesPerStep = 4
 
 // schedule arms cpu c's next step event. Each CPU's entire chain reuses one
 // registered typed event (stepKind with the CPU index as arg), so the
-// simulator's hottest call allocates nothing. The closure form is kept
-// behind Options.ClosureEvents as the determinism reference.
+// simulator's hottest call allocates nothing.
 //
 //numalint:hotpath
 func (s *System) schedule(c *cpuState, at sim.Time) {
-	if s.opt.ClosureEvents {
-		//numalint:allow hotpath closure reference path gated by Options.ClosureEvents
-		s.eng.At(at, func(now sim.Time) { s.step(c, now) })
-		return
-	}
 	s.eng.AtKind(at, s.stepKind, uint64(c.id))
 }
 
@@ -116,18 +110,8 @@ func (s *System) step(c *cpuState, now sim.Time) {
 		case workload.StepBlock:
 			s.schedul.Block(p.sp)
 			c.cur = nil
-			if s.opt.ClosureEvents {
-				wake := p
-				//numalint:allow hotpath closure reference path gated by Options.ClosureEvents
-				s.eng.At(t+st.Dur, func(sim.Time) {
-					if wake.alive {
-						s.schedul.MakeRunnable(wake.sp)
-					}
-				})
-			} else {
-				s.eng.AtKind(t+st.Dur, s.wakeKind,
-					uint64(p.vmID)<<32|uint64(p.slotGen))
-			}
+			s.eng.AtKind(t+st.Dur, s.wakeKind,
+				uint64(p.vmID)<<32|uint64(p.slotGen))
 		case workload.StepAccess:
 			var missed bool
 			t, missed = s.access(c, p, st, t)

@@ -42,8 +42,8 @@ type procState struct {
 	gen     workload.Generator
 	alive   bool
 	// slotGen distinguishes successive occupants of a reused vm ProcID slot,
-	// so a typed wake event scheduled for an exited process cannot wake its
-	// successor (the closure path pins the exact procState instead).
+	// so a wake event scheduled for an exited process cannot wake its
+	// successor.
 	slotGen uint32
 }
 
@@ -96,8 +96,7 @@ type System struct {
 	// Typed event kinds (registered once in NewSystem): the per-CPU step
 	// chain and the process wake-after-block event. Scheduling them carries
 	// only an integer arg through the engine heap, so the simulator's inner
-	// loop allocates nothing per event. Options.ClosureEvents falls back to
-	// the closure path for A/B determinism checks.
+	// loop allocates nothing per event.
 	stepKind sim.Kind
 	wakeKind sim.Kind
 
@@ -160,7 +159,7 @@ func NewSystem(spec *workload.Spec, opt Options) (*System, error) {
 	}
 	s.val = cache.NewValidity(spec.Pages, cfg.Nodes)
 	s.allocs = alloc.New(cfg.Nodes, cfg.FramesPerNode())
-	s.vmm = vm.New(spec.Pages, cfg.Nodes, s.allocs, s.val, opt.Placement)
+	s.vmm = vm.New(spec.Pages, s.allocs, s.val, opt.Placement)
 	s.vmm.Locate = func(pid mem.ProcID) mem.NodeID {
 		if int(pid) < len(s.procs) && s.procs[pid] != nil {
 			return cfg.NodeOf(s.procs[pid].sp.LastCPU)

@@ -244,22 +244,39 @@ func (pg *Pager) HandleBatch(now sim.Time, cpu mem.CPUID, batch []directory.HotR
 		}
 	}
 
-	// Steps 7-8 per copy, as the two-phase exchange in twophase.go: prepare
-	// charges the copy at the destination node, commit links the frame at the
-	// master's home node. Serial drive, original order.
+	// Steps 7-8 per copy: copy the data, then final mapping updates.
 	for i := range pg.ops {
 		op := &pg.ops[i]
 		acted := false
 		copies := 0
 		for _, f := range op.newFrames {
-			m := phaseMsg{opIdx: i, frame: f}
-			t = pg.prepareCopy(m, t, bd)
-			var ok bool
-			if t, ok = pg.commitCopy(m, t, bd); !ok {
+			cc := pg.cfg.CopyCost()
+			t += cc
+			bd.Pager.Add(stats.FnPageCopy, cc)
+			bd.Pager.AddOpStep(op.kind, stats.FnPageCopy, cc)
+			op.latency += cc
+
+			var dt sim.Time
+			var err error
+			if op.decision.Action == policy.MigratePage {
+				err = pg.vm.Migrate(op.ref.Page, f)
+				dt = k.PolicyEndMigr
+			} else {
+				err = pg.vm.Replicate(op.ref.Page, f)
+				dt = k.PolicyEndRepl
+			}
+			if err != nil {
+				// The page changed state between decision and action (e.g.
+				// a collapse raced in); release the frame.
+				pg.alloc.Free(f)
 				continue
 			}
 			acted = true
 			copies++
+			t += dt
+			bd.Pager.Add(stats.FnPolicyEnd, dt)
+			bd.Pager.AddOpStep(op.kind, stats.FnPolicyEnd, dt)
+			op.latency += dt
 		}
 		if !acted {
 			pg.Actions.Record(policy.Decision{Action: policy.DoNothing, Reason: policy.ReasonFrozen}, false)

@@ -34,7 +34,7 @@ func newFixture(t *testing.T, params policy.Params) *fixture {
 	f := &fixture{cfg: cfg}
 	f.alloc = alloc.New(cfg.Nodes, cfg.FramesPerNode())
 	val := cache.NewValidity(tPages, 1)
-	f.vmm = vm.New(tPages, cfg.Nodes, f.alloc, val, vm.FirstTouch)
+	f.vmm = vm.New(tPages, f.alloc, val, vm.FirstTouch)
 	f.counters = directory.NewCounters(tPages, cfg.TotalCPUs(), params.Trigger, 4, 1, nil)
 	f.pg = New(cfg, klock.NewSet(16), f.alloc, f.vmm, f.counters, params)
 	f.pg.Flush = func(now sim.Time, initiator mem.CPUID, pages []mem.GPage) sim.Time {

@@ -86,7 +86,6 @@ func RoundRobin(nodes int) Placer {
 
 // VM is the machine-wide virtual-memory state.
 type VM struct {
-	nodes int
 	alloc *alloc.Allocator
 	val   *cache.Validity
 	place Placer
@@ -103,10 +102,6 @@ type VM struct {
 	pages []PageInfo
 	ptes  [][]PTE // [proc][gpage]; nil for free proc slots
 	freeP []mem.ProcID
-	// views[n] is node n's replica view (see nodeview.go): the lazy-deleted
-	// min-heap answering "lowest page with a replica on n" without a
-	// machine-wide scan.
-	views []replicaView
 
 	faults       uint64
 	remaps       uint64
@@ -118,17 +113,15 @@ type VM struct {
 
 // New builds the VM for pages logical pages over the given allocator and
 // cache-validity tables. place decides first-touch placement.
-func New(pages, nodes int, a *alloc.Allocator, val *cache.Validity, place Placer) *VM {
+func New(pages int, a *alloc.Allocator, val *cache.Validity, place Placer) *VM {
 	if place == nil {
 		place = FirstTouch
 	}
 	v := &VM{
-		nodes: nodes,
 		alloc: a,
 		val:   val,
 		place: place,
 		pages: make([]PageInfo, pages),
-		views: make([]replicaView, nodes),
 		Locate: func(mem.ProcID) mem.NodeID {
 			return 0
 		},
@@ -208,8 +201,8 @@ func (v *VM) Touch(proc mem.ProcID, p mem.GPage, pref mem.NodeID) (PTE, FaultKin
 			panic(fmt.Sprintf("vm: machine out of memory touching page %d: %v", p, err))
 		}
 		pi.Master = f
-		// Home the page's validity stamps with its master copy (rehoming
-		// from the previous residence's node if the page was released there).
+		// Home the page with its master copy: from here on the validity
+		// filter accepts writes to its lines.
 		v.val.Assign(p, v.alloc.NodeOf(f))
 		kind = FirstTouchFault
 	}
@@ -312,8 +305,8 @@ func (v *VM) Migrate(p mem.GPage, newF mem.PFN) error {
 	if pi.MigCount < ^uint8(0) {
 		pi.MigCount++
 	}
-	// The master moved nodes: its validity stamps rehome with it, then the
-	// epoch bump invalidates every cached line of the page.
+	// The master moved nodes: rehome the page, then the epoch bump
+	// invalidates every cached line of the page.
 	v.val.Assign(p, v.alloc.NodeOf(newF))
 	v.val.BumpPage(p)
 	v.migrates++
@@ -345,7 +338,6 @@ func (v *VM) Replicate(p mem.GPage, newF mem.PFN) error {
 		return fmt.Errorf("vm: page %d already has a copy on node %d", p, node)
 	}
 	pi.Replicas = append(pi.Replicas, Replica{Node: node, PFN: newF})
-	v.views[node].push(p)
 	pi.EverReplicated = true
 	for _, m := range pi.Mappers {
 		pt := &v.ptes[m][p]
@@ -400,7 +392,7 @@ func (v *VM) Collapse(p mem.GPage, keepNode mem.NodeID) int {
 		pt.RO = false
 	}
 	// A collapse that kept a replica's frame moved the master to that
-	// replica's node; the stamps follow the master.
+	// replica's node; the page's home follows the master.
 	v.val.Assign(p, v.alloc.NodeOf(keep))
 	v.val.BumpPage(p)
 	v.collapses++
@@ -426,51 +418,36 @@ func (v *VM) Remap(proc mem.ProcID, p mem.GPage, node mem.NodeID) {
 }
 
 // ReclaimReplicaOn frees one replica residing on node n (memory-pressure
-// response: replicated pages are reclaimed preferentially). It returns the
-// reclaimed page and true when a replica was found and freed; the pager's
-// drain sweep uses the page to cover the eviction with a TLB flush. The
-// node's replica view answers the query — the lowest-numbered page holding a
-// replica on n, exactly what the machine-wide scan this replaces returned —
-// with stale view entries (collapsed or released since their push) discarded
-// along the way.
+// response: replicated pages are reclaimed preferentially). It scans pages in
+// ascending order and frees the replica of the lowest-numbered page holding
+// one on n, returning that page and true; the pager's drain sweep uses the
+// page to cover the eviction with a TLB flush.
 func (v *VM) ReclaimReplicaOn(n mem.NodeID) (mem.GPage, bool) {
-	rv := &v.views[n]
-	for {
-		p, ok := rv.peek()
-		if !ok {
-			return 0, false
-		}
+	for p := range v.pages {
 		pi := &v.pages[p]
-		idx := -1
 		for i, r := range pi.Replicas {
-			if r.Node == n {
-				idx = i
-				break
+			if r.Node != n {
+				continue
 			}
+			pi.Replicas = append(pi.Replicas[:i], pi.Replicas[i+1:]...)
+			for _, m := range pi.Mappers {
+				pt := &v.ptes[m][p]
+				pt.PFN = v.nearest(pi, v.Locate(m))
+				pt.RO = len(pi.Replicas) > 0
+			}
+			v.alloc.Free(r.PFN)
+			v.val.BumpPage(mem.GPage(p))
+			if v.Obs.On() {
+				e := obs.NewEvent(obs.KindReplicaReclaimed)
+				e.Page = int64(p)
+				e.Node = int(n)
+				e.N = 1
+				v.Obs.EmitNow(e)
+			}
+			return mem.GPage(p), true
 		}
-		if idx < 0 {
-			rv.pop() // stale: the replica vanished since the entry was pushed
-			continue
-		}
-		r := pi.Replicas[idx]
-		pi.Replicas = append(pi.Replicas[:idx], pi.Replicas[idx+1:]...)
-		rv.pop()
-		for _, m := range pi.Mappers {
-			pt := &v.ptes[m][p]
-			pt.PFN = v.nearest(pi, v.Locate(m))
-			pt.RO = len(pi.Replicas) > 0
-		}
-		v.alloc.Free(r.PFN)
-		v.val.BumpPage(p)
-		if v.Obs.On() {
-			e := obs.NewEvent(obs.KindReplicaReclaimed)
-			e.Page = int64(p)
-			e.Node = int(n)
-			e.N = 1
-			v.Obs.EmitNow(e)
-		}
-		return p, true
 	}
+	return 0, false
 }
 
 // ReleasePage frees every copy of page p and invalidates all mappings (used
@@ -554,16 +531,6 @@ func (v *VM) CheckInvariants() error {
 				return fmt.Errorf("vm: page %d has two copies on node %d", p, r.Node)
 			}
 			seen[r.Node] = true
-			viewed := false
-			for _, q := range v.views[r.Node].pages {
-				if q == mem.GPage(p) {
-					viewed = true
-					break
-				}
-			}
-			if !viewed {
-				return fmt.Errorf("vm: page %d replica on node %d missing from the node's replica view", p, r.Node)
-			}
 		}
 		for _, m := range pi.Mappers {
 			if v.ptes[m] == nil || !v.ptes[m][p].Valid {

@@ -18,7 +18,7 @@ const (
 func newVM(place Placer) (*VM, *alloc.Allocator, *cache.Validity) {
 	a := alloc.New(tNodes, 64)
 	val := cache.NewValidity(tPages, 1)
-	v := New(tPages, tNodes, a, val, place)
+	v := New(tPages, a, val, place)
 	return v, a, val
 }
 
@@ -292,6 +292,77 @@ func TestReclaimReplicaOn(t *testing.T) {
 	}
 }
 
+// replicatedVM builds a VM with one process touching every page's master on
+// node 0, ready for replicas on the other nodes.
+func replicatedVM(t *testing.T) *VM {
+	t.Helper()
+	v, _, _ := newVM(FirstTouch)
+	proc := v.AddProcess()
+	for p := 0; p < tPages; p++ {
+		v.Touch(proc, mem.GPage(p), 0)
+	}
+	return v
+}
+
+func replicateOn(t *testing.T, v *VM, p mem.GPage, node mem.NodeID) {
+	t.Helper()
+	f := v.alloc.AllocOn(node, alloc.Replica)
+	if f == mem.NoFrame {
+		t.Fatalf("no frame on node %d", node)
+	}
+	if err := v.Replicate(p, f); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReclaimReplicaOnLowestPageFirst pins the reclaim order: reclaims on a
+// node hand back its replicated pages lowest-page-first, whatever order they
+// were replicated in, and leave other nodes' replicas untouched.
+func TestReclaimReplicaOnLowestPageFirst(t *testing.T) {
+	v := replicatedVM(t)
+	for _, p := range []mem.GPage{5, 1, 7} {
+		replicateOn(t, v, p, 2)
+	}
+	replicateOn(t, v, 3, 1)
+
+	for _, want := range []mem.GPage{1, 5, 7} {
+		got, ok := v.ReclaimReplicaOn(2)
+		if !ok || got != want {
+			t.Fatalf("reclaim on node 2 = %d,%v, want %d,true", got, ok, want)
+		}
+	}
+	if _, ok := v.ReclaimReplicaOn(2); ok {
+		t.Fatal("node 2 still reports replicas after draining")
+	}
+	if got, ok := v.ReclaimReplicaOn(1); !ok || got != 3 {
+		t.Fatalf("node 1's replica disturbed: reclaim = %d,%v, want 3,true", got, ok)
+	}
+}
+
+// TestReclaimReplicaOnSkipsTornDownReplicas pins that reclaim sees only
+// live replicas: one collapsed away is skipped, and a page replicated,
+// collapsed and replicated again on the same node is reclaimed exactly once.
+func TestReclaimReplicaOnSkipsTornDownReplicas(t *testing.T) {
+	v := replicatedVM(t)
+	replicateOn(t, v, 2, 3)
+	v.Collapse(2, 0)
+	replicateOn(t, v, 4, 3)
+	if got, ok := v.ReclaimReplicaOn(3); !ok || got != 4 {
+		t.Fatalf("collapsed replica not skipped: reclaim = %d,%v, want 4,true", got, ok)
+	}
+
+	replicateOn(t, v, 2, 3)
+	if got, ok := v.ReclaimReplicaOn(3); !ok || got != 2 {
+		t.Fatalf("reclaim = %d,%v, want 2,true", got, ok)
+	}
+	if _, ok := v.ReclaimReplicaOn(3); ok {
+		t.Fatal("re-replicated page reclaimed twice")
+	}
+	if err := v.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Touch must ride out transient injected allocation failures by retrying,
 // counting each retry, rather than killing the workload.
 func TestTouchRetriesTransientFailures(t *testing.T) {
@@ -338,7 +409,7 @@ func TestVMInvariantProperty(t *testing.T) {
 		r := sim.NewRand(seed)
 		a := alloc.New(tNodes, 64)
 		val := cache.NewValidity(tPages, 1)
-		v := New(tPages, tNodes, a, val, FirstTouch)
+		v := New(tPages, a, val, FirstTouch)
 		var procs []mem.ProcID
 		for i := 0; i < 4; i++ {
 			procs = append(procs, v.AddProcess())

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"ccnuma/internal/core"
 	"ccnuma/internal/fault"
@@ -57,6 +60,13 @@ type Request struct {
 // defaultSeed matches the numasim -seed default.
 const defaultSeed = 42
 
+// MaxScale is the largest workload scale factor Build accepts. Every paper
+// surface runs at scale 1 or below; the ceiling leaves room for larger
+// studies while keeping one untrusted request from sizing per-page tables
+// in the gigabytes (engineering at scale 1e6 would have 2.4 billion pages)
+// or overflowing the workload's int page counts.
+const MaxScale = 16
+
 // Job is a validated, executable simulation request.
 type Job struct {
 	// Label names the run in logs and failure manifests.
@@ -72,6 +82,23 @@ type Job struct {
 	Spec func() *workload.Spec
 	// Stream mirrors Request.Stream.
 	Stream bool
+}
+
+// decodeRequest strictly parses one request body: unknown fields are
+// errors, and the body is exactly one JSON value — anything but whitespace
+// after it is a malformed request, not something to ignore.
+func decodeRequest(body io.Reader) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return Request{}, err
+	}
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); err != io.EOF {
+		return Request{}, errors.New("trailing data after the request object")
+	}
+	return req, nil
 }
 
 // Build validates the request and assembles the simulation inputs. Errors
@@ -90,8 +117,8 @@ func (r Request) Build() (*Job, error) {
 	if scale == 0 {
 		scale = 1.0
 	}
-	if scale < 0 {
-		return nil, fmt.Errorf("serve: negative scale %v", scale)
+	if !(scale > 0 && scale <= MaxScale) { // also rejects NaN
+		return nil, fmt.Errorf("serve: scale %v outside (0, %d]", scale, MaxScale)
 	}
 	seed := uint64(defaultSeed)
 	if r.Seed != nil {

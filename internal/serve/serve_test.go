@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -125,6 +126,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown metric", `{"workload":"engineering","metric":"wat"}`},
 		{"missing workload", `{}`},
 		{"negative scale", `{"workload":"engineering","scale":-1}`},
+		{"scale above ceiling", `{"workload":"engineering","scale":1e6}`},
+		{"scale overflowing page counts", `{"workload":"engineering","scale":1e12}`},
 		{"bad fault config", `{"workload":"engineering","faults":{"drop_batch":2}}`},
 		{"not json", `hello`},
 		{"trailing data", `{"workload":"engineering"}{"bogus":1}`},
@@ -146,6 +149,17 @@ func TestBadRequests(t *testing.T) {
 	}
 	if hw := s.AdmittedHighWater(); hw != 0 {
 		t.Errorf("bad requests consumed queue slots: high water %d", hw)
+	}
+}
+
+// TestBuildRejectsNonFiniteScale covers the scales a JSON body cannot carry
+// but the numasim -scale flag can: NaN and infinities must be refused, not
+// turned into page counts.
+func TestBuildRejectsNonFiniteScale(t *testing.T) {
+	for _, sc := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := (Request{Workload: "engineering", Scale: sc}).Build(); err == nil {
+			t.Errorf("scale %v accepted", sc)
+		}
 	}
 }
 

@@ -184,18 +184,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	// Parse and validate before spending any capacity: a malformed request
 	// must never occupy a queue slot.
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, errorBody{Error: "parse: " + err.Error()})
-		return
-	}
-	// The body is exactly one JSON value: anything but whitespace after it
-	// is a malformed request, not something to ignore.
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err != io.EOF {
-		writeError(w, http.StatusBadRequest, errorBody{Error: "parse: trailing data after the request object"})
 		return
 	}
 	job, err := req.Build()
